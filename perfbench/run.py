@@ -45,10 +45,11 @@ def build():
 def source_id():
     """The commit when this is a git checkout, else a digest of the sources."""
     try:
-        out = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+        out = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--show-toplevel", "HEAD"],
                              capture_output=True, text=True, timeout=10)
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
+        lines = out.stdout.splitlines()
+        if out.returncode == 0 and len(lines) == 2 and Path(lines[0]).resolve() == ROOT:
+            return lines[1]
     except (OSError, subprocess.SubprocessError):
         pass
     digest = hashlib.sha256()

@@ -14,7 +14,7 @@ std::vector<Metric> EndToEndMetrics(const EndToEnd& e2e) {
   return {
       {"setup_s", setup.p50, "s"},
       {"p50_ms", e2e.p50_ms, "ms"},
-      {"p99_ms", e2e.tail_ms, "ms"},
+      {"p90_ms", e2e.p90_ms, "ms"},
       {"slo_goodput_rps",
        e2e.offered_s > 0 ? static_cast<double>(e2e.within_slo) / e2e.offered_s : 0.0,
        "1/s"},

@@ -25,7 +25,6 @@ constexpr int32_t kFeatureDim = 64;  // Pubmed's 500, scaled down
 constexpr int32_t kHidden = 32;
 constexpr int kEpochsPerModel = 50;  // each model trains this long, then restarts
 constexpr double kSloMs = 100.0;
-constexpr size_t kTailSlice = 100;  // p99_ms: median p90 of 100-epoch slices
 
 GnnConfig Config(uint64_t seed, bool async_pipeline) {
   GnnConfig cfg;
@@ -148,7 +147,7 @@ WorkloadResult RunGnnTrain(const WorkloadArgs& args) {
                                   args.seconds, nullptr);
     const Summary lat = account(p, "measured");
     e2e.p50_ms = lat.p50;
-    e2e.tail_ms = SlicedTail(p.epoch_ms, kTailSlice);
+    e2e.p90_ms = SlicedTail(p.epoch_ms, kTailSlice);
     for (double ms : p.epoch_ms) e2e.within_slo += ms <= kSloMs ? 1 : 0;
     e2e.offered_s = p.seconds;
     e2e.throughput_per_s = static_cast<double>(p.epoch_ms.size()) / p.seconds;

@@ -35,7 +35,6 @@ constexpr Tenant kTenants[] = {{"t1", 1.0}, {"t2", 1.0}, {"t3", 2.0}, {"t4", 4.0
 constexpr int kNumTenants = 4;
 constexpr double kOpenShare = 0.8;  // rest of the run is the closed loop
 constexpr auto kScrapePeriod = std::chrono::milliseconds(100);
-constexpr size_t kTailSlice = 1000;  // p99_ms: median p99 of 1000-request slices
 
 struct ServeGraph {
   std::shared_ptr<const CsrMatrix> csr;
@@ -269,7 +268,7 @@ WorkloadResult RunServe(const ServeConfig& cfg, std::vector<ServeGraph> graphs,
     res.report.push_back(DescribeLatency(std::string(label) + " open-loop latency", lat));
     char buf[320];
     std::snprintf(buf, sizeof(buf),
-                  "%s: offered %.0f req/s for %.2f s; sliced tail (p99_ms) %.4f ms; "
+                  "%s: offered %.0f req/s for %.2f s; p90_ms (sliced) %.4f ms; "
                   "generator lateness p99 %.4f ms; closed loop %lld done in %.2f s; "
                   "stats() p99 %.4f ms",
                   label, cfg.open_rate, p.open_s, SlicedTail(p.latency_ms, kTailSlice),
@@ -284,7 +283,7 @@ WorkloadResult RunServe(const ServeConfig& cfg, std::vector<ServeGraph> graphs,
     const PhaseResult p = Measure(server, cfg, graphs, args.seed, args.seconds, nullptr);
     account(p);
     e2e.p50_ms = describe("measured", p).p50;
-    e2e.tail_ms = SlicedTail(p.latency_ms, kTailSlice);
+    e2e.p90_ms = SlicedTail(p.latency_ms, kTailSlice);
     e2e.within_slo = p.within_slo;
     e2e.offered_s = p.open_s;
     e2e.throughput_per_s = p.closed_completed / p.closed_s;
