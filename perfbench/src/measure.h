@@ -42,7 +42,7 @@ Summary Summarize(std::vector<double> samples);
 
 /// Median, over consecutive slices of `samples` (in time order) holding at
 /// least `min_slice` samples each, of each slice's Summary::tail. With
-/// min_slice = 1000 every slice has a true p99; a stall episode lifts the
+/// min_slice = 100 each slice's tail is its p90; a stall episode lifts the
 /// tail of the slice it falls in, not the reported value. Fewer than
 /// 2 * min_slice samples make one slice: the plain Summary::tail.
 double SlicedTail(const std::vector<double>& samples, size_t min_slice);
