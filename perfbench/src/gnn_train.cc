@@ -24,7 +24,8 @@ constexpr char kDataset[] = "PM";
 constexpr int32_t kFeatureDim = 64;  // Pubmed's 500, scaled down
 constexpr int32_t kHidden = 32;
 constexpr int kEpochsPerModel = 50;  // each model trains this long, then restarts
-constexpr double kSloMs = 100.0;
+// SLO limit: twice the median epoch (≈36 ms) measured on a 4-vCPU Xeon VM.
+constexpr double kSloMs = 75.0;
 
 GnnConfig Config(uint64_t seed, bool async_pipeline) {
   GnnConfig cfg;
@@ -39,6 +40,7 @@ bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) =
 
 struct PhaseResult {
   std::vector<double> epoch_ms;
+  int64_t within_slo = 0;  // epochs with the reference loss within kSloMs
   int64_t attempted = 0;
   int64_t failed = 0;
   double seconds = 0.0;
@@ -78,9 +80,12 @@ PhaseResult Measure(const Graph& graph, AggregatorRef agg, const GnnConfig& cfg,
         model->Backward(grad, &bwd);
       }
     }
-    r.epoch_ms.push_back(MsBetween(t0, Clock::now()));
+    const double ms = MsBetween(t0, Clock::now());
+    r.epoch_ms.push_back(ms);
     ++r.attempted;
-    if (!SameBits(loss, reference[e % kEpochsPerModel])) ++r.failed;
+    const bool ok = SameBits(loss, reference[e % kEpochsPerModel]);
+    if (!ok) ++r.failed;
+    if (ok && ms <= kSloMs) ++r.within_slo;
     if (e % kEpochsPerModel == kEpochsPerModel - 1) model.reset();
   }
   r.seconds = MsBetween(start, Clock::now()) / 1e3;
@@ -92,7 +97,7 @@ PhaseResult Measure(const Graph& graph, AggregatorRef agg, const GnnConfig& cfg,
 WorkloadResult RunGnnTrain(const WorkloadArgs& args) {
   auto spec = DatasetByCode(kDataset);
   HCSPMM_CHECK_OK(spec.status());
-  Graph graph = LoadDataset(spec.ValueOrDie(), 1.0, args.seed);
+  Graph graph = LoadDataset(spec.ValueOrDie(), 1.0, kGraphSeed);
   Pcg32 rng(args.seed, 13);
   graph.feature_dim = kFeatureDim;
   for (int32_t v = 0; v < graph.num_vertices; ++v) {
@@ -148,7 +153,7 @@ WorkloadResult RunGnnTrain(const WorkloadArgs& args) {
     const Summary lat = account(p, "measured");
     e2e.p50_ms = lat.p50;
     e2e.p90_ms = SlicedTail(p.epoch_ms, kTailSlice);
-    for (double ms : p.epoch_ms) e2e.within_slo += ms <= kSloMs ? 1 : 0;
+    e2e.within_slo = p.within_slo;
     e2e.offered_s = p.seconds;
     e2e.throughput_per_s = static_cast<double>(p.epoch_ms.size()) / p.seconds;
     e2e.spmm_gflops = epoch_flops * e2e.throughput_per_s / 1e9;

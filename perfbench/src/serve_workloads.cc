@@ -33,7 +33,7 @@ struct Tenant {
 };
 constexpr Tenant kTenants[] = {{"t1", 1.0}, {"t2", 1.0}, {"t3", 2.0}, {"t4", 4.0}};
 constexpr int kNumTenants = 4;
-constexpr double kOpenShare = 0.8;  // rest of the run is the closed loop
+constexpr double kOpenShare = 0.7;  // rest of the run is the closed loop
 constexpr auto kScrapePeriod = std::chrono::milliseconds(100);
 
 struct ServeGraph {
@@ -41,6 +41,7 @@ struct ServeGraph {
   uint64_t handle = 0;
   std::vector<DenseMatrix> payloads;
   std::vector<uint64_t> digests;  // direct Session::Multiply per payload
+  std::vector<double> direct_ms;  // its median time per payload
 };
 
 struct RequestSpec {
@@ -95,6 +96,7 @@ double Flops(const ServeGraph& g, int payload) {
 struct PhaseResult {
   std::vector<double> latency_ms;  // open loop, due -> resolved
   std::vector<double> lateness_ms;
+  std::vector<double> direct_ms;  // direct Multiply time of each open-loop payload
   std::vector<double> submit_us;
   std::vector<double> stats_ms;
   int64_t queue_depth_max = 0;
@@ -164,10 +166,17 @@ PhaseResult Measure(Server* server, const ServeConfig& cfg,
         return InferRequest{kTenants[s.tenant].name, g.handle, g.payloads[s.payload]};
       },
       [&](size_t i, InferRequest request) {
+        const int64_t id = static_cast<int64_t>(i);
+        const int64_t span = tracer != nullptr ? tracer->Begin("serve.request", -1, id) : -1;
         const Clock::time_point start = Clock::now();
         Future<DenseMatrix> f = server->Submit(std::move(request));
-        r.submit_us[i] = MsBetween(start, Clock::now()) * 1e3;
-        f.OnReady([&clock, i] { clock.MarkDone(i); });
+        const Clock::time_point end = Clock::now();
+        r.submit_us[i] = MsBetween(start, end) * 1e3;
+        if (tracer != nullptr) tracer->Record("serve.submit", start, end, span, id);
+        f.OnReady([&clock, tracer, span, i] {
+          if (tracer != nullptr) tracer->End(span);  // ended before WaitAllDone returns
+          clock.MarkDone(i);
+        });
         {
           std::lock_guard<std::mutex> lk(queue_mu);
           queue.emplace_back(i, std::move(f));
@@ -186,17 +195,10 @@ PhaseResult Measure(Server* server, const ServeConfig& cfg,
     const double latency = clock.LatencyMs(i);
     r.latency_ms.push_back(latency);
     r.lateness_ms.push_back(clock.LatenessMs(i));
+    r.direct_ms.push_back(graphs[specs[i].graph].direct_ms[specs[i].payload]);
     ++r.attempted;
     if (!good[i]) ++r.failed;
     if (good[i] && latency <= cfg.slo_ms) ++r.within_slo;
-    if (tracer != nullptr) {
-      const int64_t id = tracer->Record("serve.request", clock.Due(i), clock.Done(i),
-                                        -1, static_cast<int64_t>(i));
-      tracer->Record("serve.submit", clock.Sent(i),
-                     clock.Sent(i) + std::chrono::nanoseconds(
-                                         static_cast<int64_t>(r.submit_us[i] * 1e3)),
-                     id, static_cast<int64_t>(i));
-    }
   }
 
   // Closed loop: one generator keeps cfg.closed_outstanding requests in
@@ -248,7 +250,9 @@ WorkloadResult RunServe(const ServeConfig& cfg, std::vector<ServeGraph> graphs,
   }
   Server* server = owned_server.get();
 
-  // Ground truth: a direct Session::Multiply per payload (PlanCache hit).
+  // Ground truth: a direct Session::Multiply per payload (PlanCache hit),
+  // and its median time over kDirectReps warm calls.
+  constexpr int kDirectReps = 3;
   for (ServeGraph& g : graphs) {
     auto direct = runtime.OpenSession(
         g.csr, SessionOptions().set_dtype(DataType::kFp32));
@@ -256,6 +260,13 @@ WorkloadResult RunServe(const ServeConfig& cfg, std::vector<ServeGraph> graphs,
       DenseMatrix z;
       HCSPMM_CHECK_OK(direct->Multiply(x, &z, nullptr));
       g.digests.push_back(DigestOf(z));
+      std::vector<double> ms;
+      for (int rep = 0; rep < kDirectReps; ++rep) {
+        const Clock::time_point start = Clock::now();
+        HCSPMM_CHECK_OK(direct->Multiply(x, &z, nullptr));
+        ms.push_back(MsBetween(start, Clock::now()));
+      }
+      g.direct_ms.push_back(Summarize(ms).p50);
     }
   }
 
@@ -298,8 +309,9 @@ WorkloadResult RunServe(const ServeConfig& cfg, std::vector<ServeGraph> graphs,
     const SessionPoolStats pool0 = server->pool()->stats();
     const PlanCacheStats cache0 = runtime.plan_cache_stats();
     Tracer tracer;
+    // The same seed, so both halves replay the same schedule and request mix.
     const PhaseResult traced =
-        Measure(server, cfg, graphs, args.seed + 1, args.seconds / 2, &tracer);
+        Measure(server, cfg, graphs, args.seed, args.seconds / 2, &tracer);
     account(traced);
     const Summary traced_lat = describe("traced half", traced);
     const SessionPoolStats pool1 = server->pool()->stats();
@@ -328,11 +340,12 @@ WorkloadResult RunServe(const ServeConfig& cfg, std::vector<ServeGraph> graphs,
     layer["harness.tail_pct"] = traced_lat.tail_pct;
     layer["harness.trace_overhead_frac"] = traced_lat.p50 / plain_lat.p50 - 1.0;
 
+    // Served minus direct: both p50s over the same open-loop request mix.
+    layer["serve.overhead_ms"] = traced_lat.p50 - Summarize(traced.direct_ms).p50;
     // Probe every graph with the payload the served requests used first.
     std::vector<ProbeTarget> targets;
     for (const ServeGraph& g : graphs) targets.push_back({g.csr, &g.payloads[0]});
     ProbeLayers(targets, tracer, &layer);
-    layer["serve.overhead_ms"] = traced_lat.p50 - layer["runtime.multiply_ms"];
     res.metrics = PerLayerMetrics(layer);
     res.spans = tracer.spans();
   }
@@ -348,10 +361,11 @@ WorkloadResult RunServe(const ServeConfig& cfg, std::vector<ServeGraph> graphs,
 WorkloadResult RunServeHot(const WorkloadArgs& args) {
   constexpr int32_t kDim = 32;
   constexpr int kPayloads = 8;
-  Pcg32 rng(args.seed, 3);
+  Pcg32 graph_rng(kGraphSeed, 3);
   std::vector<CsrMatrix> matrices;
-  matrices.push_back(GcnNormalized(RMat(11, 40000, kDim, &rng).adjacency));
-  matrices.push_back(GenerateUniformSparse(1536, 1536, 0.01, &rng));
+  matrices.push_back(GcnNormalized(RMat(11, 40000, kDim, &graph_rng).adjacency));
+  matrices.push_back(GenerateUniformSparse(1536, 1536, 0.01, &graph_rng));
+  Pcg32 rng(args.seed, 3);
   std::vector<ServeGraph> graphs;
   for (CsrMatrix& m : matrices) {
     ServeGraph g;
@@ -383,7 +397,7 @@ WorkloadResult RunServeChurn(const WorkloadArgs& args) {
   Pcg32 rng(args.seed, 5);
   for (const DatasetSpec& spec : AllDatasets()) {
     ServeGraph g;
-    CsrMatrix m = GcnNormalized(LoadDatasetCapped(spec, kMaxEdges, args.seed).adjacency);
+    CsrMatrix m = GcnNormalized(LoadDatasetCapped(spec, kMaxEdges, kGraphSeed).adjacency);
     g.handle = hcspmm::FingerprintCsr(m);
     g.csr = std::make_shared<const CsrMatrix>(std::move(m));
     for (int32_t dim : kDims) g.payloads.push_back(GenerateDense(g.csr->cols(), dim, &rng));
