@@ -10,6 +10,8 @@
 // --trace 0 reports the end-to-end metrics; --trace 1 the per-layer ones
 // (and writes the spans as Chrome trace-event JSON to --trace-out).
 // Exit code 0 only when the run completed and every output was correct.
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -39,6 +41,18 @@ std::string CpuModel() {
     }
   }
   return "unknown";
+}
+
+// Host-wide stolen vCPU time so far, in clock ticks (the 8th field of the
+// "cpu" line of /proc/stat); -1 where the kernel does not report it.
+int64_t StealTicks() {
+  std::ifstream in("/proc/stat");
+  std::string cpu;
+  int64_t field = -1;
+  in >> cpu;
+  for (int i = 0; i < 8 && (in >> field); ++i) {
+  }
+  return in && cpu == "cpu" ? field : -1;
 }
 
 std::string JsonString(const std::string& s) {
@@ -104,7 +118,11 @@ int main(int argc, char** argv) {
               JsonString(commit).c_str());
   std::fflush(stdout);
 
+  const int64_t steal_before = StealTicks();
+  const perfbench::Clock::time_point run_start = perfbench::Clock::now();
   const WorkloadResult result = run->second(args);
+  const double run_s = perfbench::MsBetween(run_start, perfbench::Clock::now()) / 1e3;
+  const int64_t steal_after = StealTicks();
 
   for (const std::string& line : result.report) std::printf("  %s\n", line.c_str());
   if (args.trace) {
@@ -119,6 +137,16 @@ int main(int argc, char** argv) {
       out << ChromeTraceJson(result.spans);
       std::printf("  wrote %zu spans to %s\n", result.spans.size(), path.c_str());
     }
+  }
+  // Stolen time slows every timing metric; compare runs only at like steal.
+  if (steal_before >= 0 && steal_after >= 0) {
+    const double ticks = static_cast<double>(steal_after - steal_before);
+    std::printf("  host vCPU steal during the run: %.0f ticks, %.2f%% of %d hardware "
+                "threads' time\n",
+                ticks,
+                100.0 * ticks / sysconf(_SC_CLK_TCK) /
+                    (run_s * hcspmm::ThreadPool::HardwareThreads()),
+                hcspmm::ThreadPool::HardwareThreads());
   }
   std::printf("  attempted %lld, failed %lld (fail_frac %.6f), correct: %s\n",
               static_cast<long long>(result.attempted),
