@@ -10,17 +10,10 @@
 namespace perfbench {
 
 std::vector<Metric> EndToEndMetrics(const EndToEnd& e2e) {
-  const Summary setup = Summarize(e2e.setup_s);
   return {
-      {"setup_s", setup.p50, "s"},
-      {"p50_ms", e2e.p50_ms, "ms"},
-      {"p90_ms", e2e.p90_ms, "ms"},
-      {"slo_goodput_rps",
-       e2e.offered_s > 0 ? static_cast<double>(e2e.within_slo) / e2e.offered_s : 0.0,
-       "1/s"},
-      {"throughput_rps", e2e.throughput_per_s, "1/s"},
-      {"spmm_gflops", e2e.spmm_gflops, "GFLOP/s"},
-      {"rss_peak_mb", PeakRssMb(), "MB"},
+      {"setup_s", Summarize(e2e.setup_s).p50, "s"},
+      {"cpu_p50_xref", e2e.cpu_p50_ms / e2e.reference_ms, "x"},
+      {"cpu_tail_xref", e2e.cpu_tail_ms / e2e.reference_ms, "x"},
   };
 }
 
@@ -30,6 +23,41 @@ std::string DescribeLatency(const std::string& label, const Summary& s) {
                 "%s: n=%lld p25=%.4f p50=%.4f p75=%.4f p%.2f=%.4f max=%.4f ms",
                 label.c_str(), static_cast<long long>(s.n), s.p25, s.p50, s.p75,
                 s.tail_pct, s.tail, s.max);
+  return buf;
+}
+
+std::string DescribeBlocks(const std::string& label, const std::vector<double>& samples,
+                           size_t blocks) {
+  std::string out = label + " by block:";
+  const size_t n = samples.size();
+  for (size_t b = 0; b < blocks && n >= blocks; ++b) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), " %.4f",
+                  Quantile({samples.begin() + n * b / blocks,
+                            samples.begin() + n * (b + 1) / blocks}, 0.5));
+    out += buf;
+  }
+  return out + " ms";
+}
+
+double UnitTail(const std::vector<double>& cpu_ms, const std::string& label,
+                std::vector<std::string>* report) {
+  const size_t slice = cpu_ms.size() / kTailSlices;
+  const double tail = SlicedTail(cpu_ms, slice);
+  char buf[200];
+  std::snprintf(buf, sizeof(buf), "%s CPU tail: %.4f ms, the median of %zu slices' p%.1f",
+                label.c_str(), tail, kTailSlices,
+                Summarize({cpu_ms.begin(), cpu_ms.begin() + slice}).tail_pct);
+  report->push_back(buf);
+  return tail;
+}
+
+std::string DescribeReference(const std::string& label, const HostReference& ref) {
+  const Summary s = Summarize(ref.samples_ms());
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "%s host reference (%s): n=%lld p25=%.4f p50=%.4f p75=%.4f ms CPU",
+                label.c_str(), ref.what().c_str(), static_cast<long long>(s.n), s.p25, s.p50,
+                s.p75);
   return buf;
 }
 
@@ -71,11 +99,13 @@ const std::vector<std::pair<std::string, std::string>>& PerLayerCatalogue() {
       {"harness.trace_overhead_frac", "frac"},
       {"harness.samples", "count"},
       {"harness.tail_pct", "pct"},
+      {"process.rss_peak_mb", "MB"},
   };
   return kCatalogue;
 }
 
-std::vector<Metric> PerLayerMetrics(const PerLayer& values) {
+std::vector<Metric> PerLayerMetrics(PerLayer values) {
+  values["process.rss_peak_mb"] = PeakRssMb();
   std::vector<Metric> out;
   for (const auto& [name, unit] : PerLayerCatalogue()) {
     const auto it = values.find(name);

@@ -138,7 +138,8 @@ int main(int argc, char** argv) {
       std::printf("  wrote %zu spans to %s\n", result.spans.size(), path.c_str());
     }
   }
-  // Stolen time slows every timing metric; compare runs only at like steal.
+  // Stolen time stretches the wall-clock report lines; the metrics are on
+  // the CPU clock, which leaves it out.
   if (steal_before >= 0 && steal_after >= 0) {
     const double ticks = static_cast<double>(steal_after - steal_before);
     std::printf("  host vCPU steal during the run: %.0f ticks, %.2f%% of %d hardware "
@@ -148,6 +149,7 @@ int main(int argc, char** argv) {
                     (run_s * hcspmm::ThreadPool::HardwareThreads()),
                 hcspmm::ThreadPool::HardwareThreads());
   }
+  std::printf("  peak RSS (VmHWM) since set-up: %.3f MB\n", PeakRssMb());
   std::printf("  attempted %lld, failed %lld (fail_frac %.6f), correct: %s\n",
               static_cast<long long>(result.attempted),
               static_cast<long long>(result.failed),

@@ -1,5 +1,8 @@
 #include "measure.h"
 
+#include <pthread.h>
+#include <time.h>
+
 #include <algorithm>
 #include <cmath>
 #include <random>
@@ -9,6 +12,26 @@ namespace perfbench {
 double MsBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
+
+namespace {
+
+double CpuClockMs(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+}  // namespace
+
+double ProcessCpuMs() { return CpuClockMs(CLOCK_PROCESS_CPUTIME_ID); }
+
+double ThreadCpuMs(std::thread& t) {
+  clockid_t clock;
+  if (pthread_getcpuclockid(t.native_handle(), &clock) != 0) return 0.0;
+  return CpuClockMs(clock);
+}
+
+double ThisThreadCpuMs() { return CpuClockMs(CLOCK_THREAD_CPUTIME_ID); }
 
 double Quantile(std::vector<double> samples, double q) {
   if (samples.empty()) return 0.0;

@@ -1,6 +1,7 @@
 // The benchmark's one measurement helper, shared by every workload:
-// summary statistics with the tail-percentile rule, and the open-loop
-// request clock (due time, send time, resolution time).
+// summary statistics with the tail-percentile rule, the CPU clock the
+// end-to-end figures are measured on, and the open-loop request clock (due
+// time, send time, resolution time).
 #pragma once
 
 #include <atomic>
@@ -15,6 +16,19 @@ namespace perfbench {
 using Clock = std::chrono::steady_clock;
 
 double MsBetween(Clock::time_point from, Clock::time_point to);
+
+/// CPU time used so far by every thread of this process, ms
+/// (CLOCK_PROCESS_CPUTIME_ID). On a KVM guest with paravirtual steal
+/// accounting the kernel leaves out the time the host took a vCPU away, so
+/// unlike wall-clock time it does not grow with the load of other guests;
+/// a thread blocked on a lock, a condition variable or a sleep adds nothing.
+double ProcessCpuMs();
+
+/// CPU time used so far by the running thread `t`, ms.
+double ThreadCpuMs(std::thread& t);
+
+/// CPU time used so far by the calling thread, ms.
+double ThisThreadCpuMs();
 
 /// Quantile `q` in [0, 1] of `samples` by the "exclusive" rule (position
 /// q * (n + 1), linear interpolation, clamped to the sample range) — the

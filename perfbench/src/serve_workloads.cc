@@ -35,6 +35,15 @@ constexpr Tenant kTenants[] = {{"t1", 1.0}, {"t2", 1.0}, {"t3", 2.0}, {"t4", 4.0
 constexpr int kNumTenants = 4;
 constexpr double kOpenShare = 0.7;  // rest of the run is the closed loop
 constexpr auto kScrapePeriod = std::chrono::milliseconds(100);
+// CPU time cannot be charged to one request while several are in flight,
+// so the open loop reads it every slice of requests (kSliceSeconds of
+// offered load) and divides it over the slice. Between two slices the
+// schedule pauses for kReferenceGap; the generator runs the HostReference
+// kReferenceLead before the next slice is due, 18 ms after the last request
+// of the slice was due, by when that request has usually resolved.
+constexpr double kSliceSeconds = 2.0 / 3.0;
+constexpr auto kReferenceGap = std::chrono::milliseconds(30);
+constexpr auto kReferenceLead = std::chrono::milliseconds(12);
 
 struct ServeGraph {
   std::shared_ptr<const CsrMatrix> csr;
@@ -53,19 +62,20 @@ struct RequestSpec {
 struct ServeConfig {
   int pool_sessions;
   double open_rate;        // offered requests per second in the open loop
-  double slo_ms;           // latency limit of slo_goodput_rps
+  double slo_ms;           // latency limit of the reported wall-clock goodput
   int closed_outstanding;  // requests the closed loop keeps in flight
   std::function<RequestSpec(Pcg32*)> draw;
 };
 
-// One set-up: a fresh server on `runtime`, every plan built cold.
+// One set-up: a fresh server on `runtime`, every plan built cold; `seconds`
+// gets its CPU time.
 std::unique_ptr<Server> SetUp(Runtime* runtime, const ServeConfig& cfg,
                               const std::vector<ServeGraph>& graphs, double* seconds,
                               int64_t* failed) {
   std::vector<CsrMatrix> copies;
   for (const ServeGraph& g : graphs) copies.push_back(*g.csr);
   runtime->plan_cache()->Clear();
-  const Clock::time_point start = Clock::now();
+  const double cpu0 = ProcessCpuMs();
   ServerOptions options;
   options.pool.max_sessions = cfg.pool_sessions;
   options.pool.session = SessionOptions().set_dtype(DataType::kFp32);
@@ -85,7 +95,7 @@ std::unique_ptr<Server> SetUp(Runtime* runtime, const ServeConfig& cfg,
     warm.push_back(server->Submit({kTenants[0].name, g.handle, g.payloads[0]}));
   }
   for (const Future<DenseMatrix>& f : warm) *failed += f.status().ok() ? 0 : 1;
-  *seconds = MsBetween(start, Clock::now()) / 1e3;
+  *seconds = (ProcessCpuMs() - cpu0) / 1e3;
   return server;
 }
 
@@ -94,7 +104,10 @@ double Flops(const ServeGraph& g, int payload) {
 }
 
 struct PhaseResult {
-  std::vector<double> latency_ms;  // open loop, due -> resolved
+  std::vector<double> latency_ms;  // open loop, due -> resolved, wall clock
+  std::vector<double> cpu_ms;      // open loop, CPU time per request, per slice
+  double cpu_flops = 0.0;          // SpMM flops of the sliced requests
+  double cpu_total_ms = 0.0;       // and their CPU time
   std::vector<double> lateness_ms;
   std::vector<double> direct_ms;  // direct Multiply time of each open-loop payload
   std::vector<double> submit_us;
@@ -111,7 +124,7 @@ struct PhaseResult {
 
 PhaseResult Measure(Server* server, const ServeConfig& cfg,
                     const std::vector<ServeGraph>& graphs, uint64_t seed,
-                    double seconds, Tracer* tracer) {
+                    double seconds, HostReference* ref, Tracer* tracer) {
   PhaseResult r;
   const auto ok_response = [&](const Future<DenseMatrix>& f, const RequestSpec& s) {
     return f.status().ok() && DigestOf(f.Get()) == graphs[s.graph].digests[s.payload];
@@ -133,8 +146,13 @@ PhaseResult Measure(Server* server, const ServeConfig& cfg,
   // Open loop: Poisson arrivals at cfg.open_rate; a consumer thread checks
   // responses in submission order while resolution times are stamped by
   // future callbacks, so a slow check never shows up as latency.
-  r.open_s = seconds * kOpenShare;
-  OpenLoopClock clock(PoissonSchedule(cfg.open_rate, r.open_s, seed));
+  std::vector<Clock::duration> schedule =
+      PoissonSchedule(cfg.open_rate, seconds * kOpenShare, seed);
+  const size_t slice = static_cast<size_t>(std::lround(cfg.open_rate * kSliceSeconds));
+  for (size_t i = 0; i < schedule.size(); ++i) schedule[i] += (i / slice) * kReferenceGap;
+  r.open_s = seconds * kOpenShare +
+             std::chrono::duration<double>((schedule.size() / slice) * kReferenceGap).count();
+  OpenLoopClock clock(std::move(schedule));
   const size_t n = clock.size();
   std::vector<RequestSpec> specs(n);
   Pcg32 rng(seed, 7);
@@ -146,6 +164,8 @@ PhaseResult Measure(Server* server, const ServeConfig& cfg,
   std::condition_variable queue_cv;
   std::deque<std::pair<size_t, Future<DenseMatrix>>> queue;  // guarded by queue_mu
   bool generator_done = false;                               // guarded by queue_mu
+  // The consumer's digest checks are the harness's work: its CPU time is
+  // left out of the per-request figure.
   std::thread consumer([&] {
     for (;;) {
       std::pair<size_t, Future<DenseMatrix>> item;
@@ -159,8 +179,17 @@ PhaseResult Measure(Server* server, const ServeConfig& cfg,
       good[item.first] = ok_response(item.second, specs[item.first]) ? 1 : 0;
     }
   });
+  // Process CPU minus the consumer's and the reference's, every slice.
+  std::vector<double> cpu_marks;
   clock.Run(
       [&](size_t i) {
+        if (i % slice == 0) {
+          if (i > 0) {
+            std::this_thread::sleep_until(clock.Due(i) - kReferenceLead);
+            ref->Run();
+          }
+          cpu_marks.push_back(ProcessCpuMs() - ThreadCpuMs(consumer) - ref->total_ms());
+        }
         const RequestSpec& s = specs[i];
         const ServeGraph& g = graphs[s.graph];
         return InferRequest{kTenants[s.tenant].name, g.handle, g.payloads[s.payload]};
@@ -191,6 +220,14 @@ PhaseResult Measure(Server* server, const ServeConfig& cfg,
   queue_cv.notify_one();
   consumer.join();
 
+  for (size_t k = 0; k + 1 < cpu_marks.size(); ++k) {
+    const double ms = cpu_marks[k + 1] - cpu_marks[k];
+    r.cpu_ms.push_back(ms / slice);
+    r.cpu_total_ms += ms;
+    for (size_t i = k * slice; i < (k + 1) * slice; ++i) {
+      r.cpu_flops += Flops(graphs[specs[i].graph], specs[i].payload);
+    }
+  }
   for (size_t i = 0; i < n; ++i) {
     const double latency = clock.LatencyMs(i);
     r.latency_ms.push_back(latency);
@@ -207,7 +244,7 @@ PhaseResult Measure(Server* server, const ServeConfig& cfg,
   const Clock::time_point closed_start = Clock::now();
   const Clock::time_point closed_end =
       closed_start + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(seconds - r.open_s));
+                         std::chrono::duration<double>(seconds * (1.0 - kOpenShare)));
   const auto retire_one = [&] {
     auto [f, s] = std::move(inflight.front());
     inflight.pop_front();
@@ -274,46 +311,60 @@ WorkloadResult RunServe(const ServeConfig& cfg, std::vector<ServeGraph> graphs,
     res.attempted += p.attempted;
     res.failed += p.failed;
   };
-  const auto describe = [&](const char* label, const PhaseResult& p) {
-    const Summary lat = Summarize(p.latency_ms);
-    res.report.push_back(DescribeLatency(std::string(label) + " open-loop latency", lat));
-    char buf[320];
+  // Wall-clock lines for reading; the CPU times feed the metrics.
+  const auto describe = [&](const char* label, const PhaseResult& p, const HostReference& ref) {
+    res.report.push_back(DescribeLatency(std::string(label) + " open-loop latency wall",
+                                         Summarize(p.latency_ms)));
+    char buf[640];
     std::snprintf(buf, sizeof(buf),
-                  "%s: offered %.0f req/s for %.2f s; p90_ms (sliced) %.4f ms; "
-                  "generator lateness p99 %.4f ms; closed loop %lld done in %.2f s; "
+                  "%s: offered %.0f req/s for %.2f s; CPU per request over %zu slices "
+                  "of %ld: p50 %.4f p90 %.4f ms, %.4f GFLOP per CPU second; p90_ms (sliced, "
+                  "wall) %.4f ms; goodput within %.0f ms %.4f req/s; generator lateness p99 "
+                  "%.4f ms; closed loop %lld done in %.2f s (%.4f req/s, %.4f GFLOP/s wall); "
                   "stats() p99 %.4f ms",
-                  label, cfg.open_rate, p.open_s, SlicedTail(p.latency_ms, kTailSlice),
-                  Summarize(p.lateness_ms).tail,
-                  static_cast<long long>(p.closed_completed), p.closed_s,
+                  label, cfg.open_rate, p.open_s, p.cpu_ms.size(),
+                  std::lround(cfg.open_rate * kSliceSeconds),
+                  Quantile(p.cpu_ms, 0.5), Quantile(p.cpu_ms, 0.9),
+                  p.cpu_flops / p.cpu_total_ms / 1e6, SlicedTail(p.latency_ms, kTailSlice),
+                  cfg.slo_ms, static_cast<double>(p.within_slo) / p.open_s,
+                  Summarize(p.lateness_ms).tail, static_cast<long long>(p.closed_completed),
+                  p.closed_s, p.closed_completed / p.closed_s, p.closed_flops / p.closed_s / 1e9,
                   Summarize(p.stats_ms).tail);
     res.report.push_back(buf);
-    return lat;
+    res.report.push_back(DescribeBlocks(std::string(label) + " CPU per request", p.cpu_ms, 6));
+    res.report.push_back(DescribeBlocks(std::string(label) + " host reference CPU",
+                                        ref.samples_ms(), 6));
+    res.report.push_back(DescribeReference(label, ref));
   };
+  const ServeGraph& ref_graph = graphs.front();
+  const DenseMatrix& ref_x = ref_graph.payloads.back();
 
   if (!args.trace) {
-    const PhaseResult p = Measure(server, cfg, graphs, args.seed, args.seconds, nullptr);
+    HostReference ref = HostReference::Spmm(*ref_graph.csr, ref_x);
+    const PhaseResult p = Measure(server, cfg, graphs, args.seed, args.seconds, &ref, nullptr);
     account(p);
-    e2e.p50_ms = describe("measured", p).p50;
-    e2e.p90_ms = SlicedTail(p.latency_ms, kTailSlice);
-    e2e.within_slo = p.within_slo;
-    e2e.offered_s = p.open_s;
-    e2e.throughput_per_s = p.closed_completed / p.closed_s;
-    e2e.spmm_gflops = p.closed_flops / p.closed_s / 1e9;
+    describe("measured", p, ref);
+    e2e.cpu_p50_ms = Quantile(p.cpu_ms, 0.5);
+    e2e.cpu_tail_ms = Quantile(p.cpu_ms, 0.9);
+    e2e.reference_ms = ref.MedianMs();
     res.metrics = EndToEndMetrics(e2e);
   } else {
+    HostReference plain_ref = HostReference::Spmm(*ref_graph.csr, ref_x);
     const PhaseResult plain =
-        Measure(server, cfg, graphs, args.seed, args.seconds / 2, nullptr);
+        Measure(server, cfg, graphs, args.seed, args.seconds / 2, &plain_ref, nullptr);
     account(plain);
-    const Summary plain_lat = describe("untraced half", plain);
+    describe("untraced half", plain, plain_ref);
 
     const SessionPoolStats pool0 = server->pool()->stats();
     const PlanCacheStats cache0 = runtime.plan_cache_stats();
     Tracer tracer;
     // The same seed, so both halves replay the same schedule and request mix.
+    HostReference traced_ref = HostReference::Spmm(*ref_graph.csr, ref_x);
     const PhaseResult traced =
-        Measure(server, cfg, graphs, args.seed, args.seconds / 2, &tracer);
+        Measure(server, cfg, graphs, args.seed, args.seconds / 2, &traced_ref, &tracer);
     account(traced);
-    const Summary traced_lat = describe("traced half", traced);
+    describe("traced half", traced, traced_ref);
+    const Summary traced_lat = Summarize(traced.latency_ms);
     const SessionPoolStats pool1 = server->pool()->stats();
     const PlanCacheStats cache1 = runtime.plan_cache_stats();
     const ServerStats stats = server->stats();
@@ -338,7 +389,9 @@ WorkloadResult RunServe(const ServeConfig& cfg, std::vector<ServeGraph> graphs,
     layer["harness.gen_lag_ms"] = Summarize(traced.lateness_ms).tail;
     layer["harness.samples"] = static_cast<double>(traced_lat.n);
     layer["harness.tail_pct"] = traced_lat.tail_pct;
-    layer["harness.trace_overhead_frac"] = traced_lat.p50 / plain_lat.p50 - 1.0;
+    layer["harness.trace_overhead_frac"] =
+        (Quantile(traced.cpu_ms, 0.5) / traced_ref.MedianMs()) /
+            (Quantile(plain.cpu_ms, 0.5) / plain_ref.MedianMs()) - 1.0;
 
     // Served minus direct: both p50s over the same open-loop request mix.
     layer["serve.overhead_ms"] = traced_lat.p50 - Summarize(traced.direct_ms).p50;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "measure.h"
+#include "reference.h"
 #include "sparse/csr.h"
 #include "sparse/dense.h"
 #include "trace.h"
@@ -46,22 +47,38 @@ inline constexpr int kSetupReps = 9;
 /// schedule, edge deltas, model initialization).
 inline constexpr uint64_t kGraphSeed = 42;
 
-/// p90_ms is the median, over consecutive 100-sample slices, of each
-/// slice's p90 (its highest percentile with ten samples beyond it). A p99
-/// over a 30 s run rests on a few rare events and moved by 0.3-0.5 of its
-/// median between seeds; the sliced p90 rests on many.
+/// Sliced tails: the samples, in time order, are cut into consecutive
+/// slices and the median over the slices of each slice's Summary::tail (its
+/// highest percentile with ten samples beyond it) is reported, so a burst of
+/// host load lifts the tail of the slice it falls in, not the reported
+/// value. A whole-run p99 rests on a few rare events and moved by 0.3-0.5 of
+/// its median between seeds. Wall-clock latency is cut into slices of
+/// kTailSlice samples (each slice's tail is its p90). The CPU time per unit
+/// of the closed-loop workloads is cut into kTailSlices slices: a 20 s
+/// spmm_delta run has ~200 units, so with 100-unit slices one burst owned
+/// the tail of a whole run.
 inline constexpr size_t kTailSlice = 100;
+inline constexpr size_t kTailSlices = 5;
+
+/// Units of work between two runs of the HostReference in the closed-loop
+/// workloads.
+inline constexpr int kUnitsPerReference = 4;
 
 /// The end-to-end figures every workload produces, whatever its unit of
 /// work (a served request, a Session::Multiply call, a training epoch).
+///
+/// Times are on the CPU clock (ProcessCpuMs): the CPU time every thread of
+/// the process spent on the work, without the time the host took the vCPUs
+/// away, which on a shared host with 4-thread ParallelFor barriers stretched
+/// a training epoch's wall time up to 2x. The CPU time still moves with the
+/// host (neighbours share the cores' caches and the memory bus), so the
+/// per-unit figures are reported in multiples of the HostReference run
+/// interleaved with the units. Wall-clock figures go to the report lines.
 struct EndToEnd {
-  std::vector<double> setup_s;  ///< one per set-up repetition
-  double p50_ms = 0.0;          ///< median latency per unit of work
-  double p90_ms = 0.0;          ///< SlicedTail(latencies, kTailSlice)
-  int64_t within_slo = 0;       ///< correct units within the workload's SLO
-  double offered_s = 0.0;       ///< length of the phase the SLO counts over
-  double throughput_per_s = 0.0;
-  double spmm_gflops = 0.0;
+  std::vector<double> setup_s;  ///< CPU seconds, one per set-up repetition
+  double cpu_p50_ms = 0.0;      ///< median CPU time per unit of work
+  double cpu_tail_ms = 0.0;     ///< its tail (see each workload)
+  double reference_ms = 0.0;    ///< median HostReference CPU time
 };
 
 /// The end-to-end metrics, in BENCHMARK.json order.
@@ -71,6 +88,20 @@ std::vector<Metric> EndToEndMetrics(const EndToEnd& e2e);
 /// with its percentile, sample count).
 std::string DescribeLatency(const std::string& label, const Summary& s);
 
+/// Medians of `blocks` consecutive equal blocks of `samples` (in time
+/// order), on one line: drift of the host's speed within a run shows here.
+std::string DescribeBlocks(const std::string& label, const std::vector<double>& samples,
+                           size_t blocks);
+
+/// SlicedTail of a closed-loop workload's CPU times per unit over
+/// kTailSlices slices; adds a report line naming the percentile each
+/// slice's tail is.
+double UnitTail(const std::vector<double>& cpu_ms, const std::string& label,
+                std::vector<std::string>* report);
+
+/// Readable summary of the HostReference samples of one phase.
+std::string DescribeReference(const std::string& label, const HostReference& ref);
+
 /// Every per-layer metric name with its unit, in BENCHMARK.json order. A
 /// traced run reports all of them; a layer the workload does not exercise
 /// reports 0.
@@ -79,8 +110,8 @@ const std::vector<std::pair<std::string, std::string>>& PerLayerCatalogue();
 /// Per-layer values being filled in by a traced run.
 using PerLayer = std::map<std::string, double>;
 
-/// Catalogue order, missing entries as 0.
-std::vector<Metric> PerLayerMetrics(const PerLayer& values);
+/// Catalogue order, missing entries as 0; adds process.rss_peak_mb.
+std::vector<Metric> PerLayerMetrics(PerLayer values);
 
 /// p50 (ms) of the spans called `name`, 0 when there are none.
 double SpanP50Ms(const Tracer& tracer, const std::string& name);
@@ -107,7 +138,10 @@ bool BitIdentical(const hcspmm::DenseMatrix& a, const hcspmm::DenseMatrix& b);
 /// reference result instead of the result itself.
 uint64_t DigestOf(const hcspmm::DenseMatrix& m);
 
-/// Peak resident set size of this process (VmHWM), MB.
+/// Peak resident set size of this process (VmHWM), MB. Every run prints
+/// it; it is not an end-to-end metric because glibc keeps freed memory in
+/// per-thread arenas in amounts that depend on lock timing between threads:
+/// on a loaded host gnn_train's peak ranged from 100 to 185 MB between runs.
 double PeakRssMb();
 
 /// Restart the VmHWM peak from the current RSS, so rss_peak_mb covers the

@@ -1,9 +1,11 @@
 // Tests of the benchmark's own measurement logic: the tail-percentile rule,
-// due-time accounting when the consumer of requests stalls, and self-time
-// subtraction on nested spans. Built next to the benchmark; run it with
+// due-time accounting when the consumer of requests stalls, self-time
+// subtraction on nested spans, and the CPU clock. Built next to the benchmark; run it with
 //   python3 perfbench/run.py --selftest
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -171,6 +173,40 @@ void TestSelfTime() {
          "Chrome trace events");
 }
 
+void TestCpuClock() {
+  // A sleeping thread adds (almost) no CPU time; a spinning one adds about
+  // its wall time, to the process clock and to its own thread clock.
+  using namespace std::chrono;
+  const auto spin = [](milliseconds d) {
+    const auto end = Clock::now() + d;
+    volatile uint64_t x = 0;
+    while (Clock::now() < end) x = x + 1;
+  };
+  double cpu0 = ProcessCpuMs();
+  std::this_thread::sleep_for(milliseconds(60));
+  Expect(ProcessCpuMs() - cpu0 < 20.0, "sleeping adds no process CPU time");
+  cpu0 = ProcessCpuMs();
+  spin(milliseconds(60));
+  Expect(ProcessCpuMs() - cpu0 > 30.0, "spinning adds process CPU time");
+
+  std::atomic<int> phase{0};
+  std::thread worker([&] {
+    while (phase.load() == 0) std::this_thread::sleep_for(milliseconds(1));
+    spin(milliseconds(60));
+    phase.store(2);
+    while (phase.load() != 3) std::this_thread::sleep_for(milliseconds(1));
+  });
+  const double idle0 = ThreadCpuMs(worker);
+  std::this_thread::sleep_for(milliseconds(30));
+  Expect(ThreadCpuMs(worker) - idle0 < 10.0, "a waiting thread's clock barely moves");
+  const double busy0 = ThreadCpuMs(worker);
+  phase.store(1);
+  while (phase.load() != 2) std::this_thread::sleep_for(milliseconds(1));
+  Expect(ThreadCpuMs(worker) - busy0 > 30.0, "a spinning thread's clock counts its work");
+  phase.store(3);
+  worker.join();
+}
+
 }  // namespace
 
 int main() {
@@ -178,6 +214,7 @@ int main() {
       {"percentile rule", TestPercentileRule},
       {"due-time accounting under a stalled consumer", TestDueTimeUnderStalledConsumer},
       {"self time on nested spans", TestSelfTime},
+      {"CPU clock", TestCpuClock},
   };
   for (const auto& [name, fn] : tests) {
     const int before = g_failures;
