@@ -55,8 +55,8 @@ inline constexpr uint64_t kGraphSeed = 42;
 /// its median between seeds. Wall-clock latency is cut into slices of
 /// kTailSlice samples (each slice's tail is its p90). The CPU time per unit
 /// of the closed-loop workloads is cut into kTailSlices slices: a 20 s
-/// spmm_delta run has ~200 units, so with 100-unit slices one burst owned
-/// the tail of a whole run.
+/// spmm_delta run under heavy steal has ~200 units, so with 100-unit slices
+/// one burst owned the tail of a whole run.
 inline constexpr size_t kTailSlice = 100;
 inline constexpr size_t kTailSlices = 5;
 
