@@ -10,7 +10,7 @@ Status GeSpmmLikeSpmm::Run(const CsrMatrix& a, const DenseMatrix& x,
   if (a.cols() != x.rows()) {
     return Status::InvalidArgument("SpMM shape mismatch: A.cols != X.rows");
   }
-  *z = DenseMatrix(a.rows(), x.cols());
+  HCSPMM_RETURN_NOT_OK(internal::ShapeOutput(a.rows(), x, z));
   internal::SpmmRowsRounded(a, x, 0, a.rows(), DataType::kFp32, z);
 
   if (profile != nullptr) {

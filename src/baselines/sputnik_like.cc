@@ -17,7 +17,7 @@ Status SputnikLikeSpmm::Run(const CsrMatrix& a, const DenseMatrix& x,
   if (a.cols() != x.rows()) {
     return Status::InvalidArgument("SpMM shape mismatch: A.cols != X.rows");
   }
-  *z = DenseMatrix(a.rows(), x.cols());
+  HCSPMM_RETURN_NOT_OK(internal::ShapeOutput(a.rows(), x, z));
   // Sputnik supports full and half precision on CUDA cores; half rounds
   // operands (Appendix B).
   const DataType functional =

@@ -73,7 +73,7 @@ Status HcSpmm::RunWithPlan(const HybridPlan& plan, const CsrMatrix& a,
        packed->nnz() != a.nnz())) {
     return Status::InvalidArgument("plan was built for a different matrix");
   }
-  *z = DenseMatrix(a.rows(), x.cols());
+  HCSPMM_RETURN_NOT_OK(internal::ShapeOutput(a.rows(), x, z));
 
   // Functional execution: the Tensor path rounds operands to the storage
   // type (TF32 by default); the CUDA path computes in full FP32. Windows
@@ -85,7 +85,8 @@ Status HcSpmm::RunWithPlan(const HybridPlan& plan, const CsrMatrix& a,
   // granularity (every kCancelCheckStride windows per chunk), never inside
   // the SIMD kernels. On expiry workers stop dispatching further windows; z
   // is partially written and the typed error below tells the caller to
-  // discard it.
+  // discard it. Empty windows are dispatched too: their rows of a reused z
+  // still have to be zeroed.
   constexpr int64_t kCancelCheckStride = 64;
   std::atomic<bool> cancelled{false};
   ParallelFor(0, static_cast<int64_t>(ws.size()), opts.num_threads,
@@ -99,7 +100,6 @@ Status HcSpmm::RunWithPlan(const HybridPlan& plan, const CsrMatrix& a,
                     return;
                   }
                   const RowWindow& w = ws[i];
-                  if (w.nnz == 0) continue;
                   const bool on_tensor = plan.assignment[i] == CoreType::kTensorCore;
                   internal::SpmmRowsRounded(a, x, w.first_row, w.first_row + w.num_rows,
                                             on_tensor ? opts.dtype : DataType::kFp32, z,

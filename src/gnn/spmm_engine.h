@@ -54,7 +54,9 @@ class SpmmEngine {
   /// and listing the registered ones.
   const Status& status() const { return status_; }
 
-  /// z = Abar * x with metering. Appends to `profile` if non-null.
+  /// z = Abar * x with metering. Appends to `profile` if non-null. Output
+  /// contract of Session::Multiply (z reused when its shape matches, z == &x
+  /// rejected).
   Status Multiply(const DenseMatrix& x, DenseMatrix* z, KernelProfile* profile) const;
 
   /// Batched entry point for serving many independent feature matrices; see

@@ -10,7 +10,7 @@ Status CudaBasicSpmm::Run(const CsrMatrix& a, const DenseMatrix& x,
   if (a.cols() != x.rows()) {
     return Status::InvalidArgument("SpMM shape mismatch: A.cols != X.rows");
   }
-  *z = DenseMatrix(a.rows(), x.cols());
+  HCSPMM_RETURN_NOT_OK(internal::ShapeOutput(a.rows(), x, z));
   // CUDA cores always compute at full FP32 precision regardless of the
   // Tensor-core storage type (SS III-B).
   internal::SpmmRowsRounded(a, x, 0, a.rows(), DataType::kFp32, z, opts.num_threads);

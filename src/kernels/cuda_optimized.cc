@@ -34,7 +34,7 @@ Status CudaOptimizedSpmm::RunWithWindows(const WindowedCsr& windows,
   if (a.cols() != x.rows()) {
     return Status::InvalidArgument("SpMM shape mismatch: A.cols != X.rows");
   }
-  *z = DenseMatrix(a.rows(), x.cols());
+  HCSPMM_RETURN_NOT_OK(internal::ShapeOutput(a.rows(), x, z));
   internal::SpmmRowsRounded(a, x, 0, a.rows(), DataType::kFp32, z, opts.num_threads);
 
   if (profile != nullptr) {

@@ -1,5 +1,7 @@
 #include "kernels/spmm_kernel.h"
 
+#include <algorithm>
+
 #include "baselines/baselines.h"
 #include "exec/thread_pool.h"
 #include "core/fine_grained_hybrid.h"
@@ -22,6 +24,9 @@ void SpmmRowsSerial(const CsrMatrix& a, const DenseMatrix& x, int32_t row_begin,
                     int32_t row_end, DataType dtype, DenseMatrix* z,
                     const PackedCsr* packed) {
   const int32_t dim = x.cols();
+  // The row kernels accumulate (z += ...); start this chunk's rows from zero
+  // here, on the thread that is about to accumulate into them.
+  std::fill(z->MutableRowData(row_begin), z->MutableRowData(row_end), 0.0f);
   if (dtype == DataType::kFp32) {
     // Vectorized along the independent output-column axis with separate
     // mul + add, so each output element keeps the scalar accumulation order
@@ -73,6 +78,18 @@ void SpmmRowsSerial(const CsrMatrix& a, const DenseMatrix& x, int32_t row_begin,
 }
 
 }  // namespace
+
+Status ShapeOutput(int32_t rows, const DenseMatrix& x, DenseMatrix* z) {
+  if (z == nullptr) return Status::InvalidArgument("SpMM output is null");
+  if (z == &x) {
+    return Status::InvalidArgument(
+        "SpMM output aliases the input: Z = A * X cannot be computed in place");
+  }
+  if (z->reduced_storage() || z->rows() != rows || z->cols() != x.cols()) {
+    *z = DenseMatrix(rows, x.cols());
+  }
+  return Status::OK();
+}
 
 void SpmmRowsRounded(const CsrMatrix& a, const DenseMatrix& x, int32_t row_begin,
                      int32_t row_end, DataType dtype, DenseMatrix* z,

@@ -45,7 +45,9 @@ class SpmmKernel {
   /// Stable kernel identifier (used by the registry and bench output).
   virtual std::string name() const = 0;
 
-  /// Compute z = a * x. `z` is resized/overwritten. `profile` receives the
+  /// Compute z = a * x. `z` is overwritten; its storage is reused when it
+  /// already is fp32 with the output's shape (see internal::ShapeOutput).
+  /// On error its contents are unspecified. `profile` receives the
   /// simulated cost; pass nullptr to skip metering details (time still not
   /// returned then — callers normally want the profile).
   virtual Status Run(const CsrMatrix& a, const DenseMatrix& x, const DeviceSpec& dev,
@@ -57,8 +59,17 @@ class PackedCsr;
 
 namespace internal {
 
+/// Prepares the output of z = A * x for an A with `rows` rows: keeps z's
+/// storage when it already is an fp32 rows x x.cols() matrix (its contents
+/// stay unspecified until the kernel overwrites every row) and replaces it
+/// with a fresh matrix otherwise. InvalidArgument when z is null or is x
+/// itself — the kernels would read X rows they had already overwritten.
+Status ShapeOutput(int32_t rows, const DenseMatrix& x, DenseMatrix* z);
+
 /// Functional CSR SpMM over a row range with operand rounding emulating the
-/// requested data type (accumulation stays FP32, as on real WMMA hardware).
+/// requested data type (accumulation stays FP32, as on real WMMA hardware):
+/// z rows [row_begin, row_end) are overwritten with A * x (each chunk zeroes
+/// its rows before accumulating), every other row of z is left untouched.
 /// `num_threads` partitions the rows across the global ThreadPool (<= 0 =>
 /// hardware concurrency); each row is produced by exactly one thread with an
 /// unchanged accumulation order, so results match the serial loop bit-for-bit.

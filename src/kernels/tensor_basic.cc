@@ -10,7 +10,7 @@ Status TensorBasicSpmm::Run(const CsrMatrix& a, const DenseMatrix& x,
   if (a.cols() != x.rows()) {
     return Status::InvalidArgument("SpMM shape mismatch: A.cols != X.rows");
   }
-  *z = DenseMatrix(a.rows(), x.cols());
+  HCSPMM_RETURN_NOT_OK(internal::ShapeOutput(a.rows(), x, z));
   // Tensor cores round both operands to the storage type; accumulation is
   // FP32. Zero-padded lanes contribute zero, so the functional result is
   // the rounded-operand CSR product.

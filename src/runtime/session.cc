@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "baselines/baselines.h"
+#include "kernels/spmm_kernel.h"
 #include "stream/plan_patch.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -282,6 +283,9 @@ Status Session::MultiplyOnWithThreads(const PlanVersion& v, const DenseMatrix& x
     converted = x.ToPrecision(options_.feature_precision());
     input = &converted;
   }
+  // Shaped against the caller's x: a converted input would hide z == &x
+  // from the kernel's own check.
+  HCSPMM_RETURN_NOT_OK(internal::ShapeOutput(v.csr->rows(), x, z));
   KernelProfile local;
   KernelOptions opts;
   opts.dtype = options_.dtype();

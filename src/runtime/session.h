@@ -175,13 +175,18 @@ class Session : public std::enable_shared_from_this<Session> {
   /// z = Abar * x, synchronously on the calling thread with full row-level
   /// parallelism. Appends to `profile` if non-null.
   ///
+  /// z's storage is reused when it already is fp32 with shape rows x
+  /// x.cols(), so a caller multiplying in a loop allocates only once;
+  /// otherwise z is replaced by a fresh matrix. z must not be &x
+  /// (InvalidArgument). On kDeadlineExceeded or any other error z's
+  /// contents are unspecified.
+  ///
   /// Every multiply entry point takes optional ExecControls: a cancel token
   /// (polled at window-batch granularity; expiry resolves
   /// kDeadlineExceeded), and a RetryPolicy transparently re-running the
   /// whole attempt on IsRetryable failures. A failed attempt never touches
-  /// `profile` or the caller-visible output, and a successful retry
-  /// recomputes from scratch, so fp32 results stay bit-identical to the
-  /// fault-free run.
+  /// `profile`, and a successful retry recomputes every row of z from
+  /// scratch, so fp32 results stay bit-identical to the fault-free run.
   Status Multiply(const DenseMatrix& x, DenseMatrix* z, KernelProfile* profile,
                   const ExecControls& ctl = {}) const;
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <utility>
 
+#include "kernels/spmm_kernel.h"
 #include "runtime/runtime.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -238,19 +239,18 @@ Status ShardedSession::ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* sta
 Status ShardedSession::Multiply(const DenseMatrix& x, DenseMatrix* z,
                                 KernelProfile* profile,
                                 const ExecControls& ctl) const {
-  if (z == nullptr) return Status::InvalidArgument("sharded Multiply: z is null");
+  HCSPMM_RETURN_NOT_OK(internal::ShapeOutput(rows(), x, z));
   auto state = State();
   if (state->sessions.size() == 1) {
     return state->sessions[0]->Multiply(x, z, profile, ctl);
   }
 
   // Fan out: each shard computes its rows on its own session's stream and
-  // scatters them into `out` (disjoint row blocks — no lock, no reduction);
+  // scatters them into `z` (disjoint row blocks — no lock, no reduction);
   // this thread just joins. Per-shard profiles land in indexed slots so the
   // caller's profile accumulates in deterministic shard order. All shards
   // run on the one pinned `state`, so a concurrent ApplyDeltas can never
   // tear the fan-out across versions.
-  DenseMatrix out(rows(), x.cols());
   std::vector<KernelProfile> profs(state->sessions.size());
   std::vector<Future<bool>> futures;
   futures.reserve(state->sessions.size());
@@ -259,13 +259,13 @@ Status ShardedSession::Multiply(const DenseMatrix& x, DenseMatrix* z,
     const ShardRange& range = state->partition->ranges[i];
     KernelProfile* prof = &profs[i];
     futures.push_back(session->SubmitAsync(
-        [state, session, range, i, &x, &out, prof, ctl] {
+        [state, session, range, i, &x, z, prof, ctl] {
           // Retry (inside MultiplyOn) recomputes only this shard's slice;
           // the scatter runs once, after the slice finally succeeded.
           DenseMatrix local;
           HCSPMM_RETURN_NOT_OK(
               session->MultiplyOn(ShardVersion(*state, i), x, &local, prof, ctl));
-          return ScatterShard(local, range, &out);
+          return ScatterShard(local, range, z);
         },
         /*stream=*/0));
   }
@@ -278,7 +278,6 @@ Status ShardedSession::Multiply(const DenseMatrix& x, DenseMatrix* z,
   if (profile != nullptr) {
     for (const KernelProfile& p : profs) profile->Accumulate(p);  // shard order
   }
-  *z = std::move(out);
   return Status::OK();
 }
 

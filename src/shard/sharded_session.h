@@ -65,6 +65,9 @@ class ShardedSession : public std::enable_shared_from_this<ShardedSession> {
   /// z = Abar * x, synchronously: every shard is submitted to its session's
   /// stream, computes its row slice, and scatters it into *z; the caller
   /// blocks on the join. Appends to `profile` in shard order if non-null.
+  /// Output contract of Session::Multiply: z's storage is reused when its
+  /// shape matches, z aliasing x is InvalidArgument, and on any error z's
+  /// contents are unspecified.
   ///
   /// ExecControls forward into each shard's Session::MultiplyOn, so retry
   /// re-dispatches *only the failed shard's row slice*: a shard scatters its

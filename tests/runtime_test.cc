@@ -1,12 +1,16 @@
 // Tests for the async runtime API: Future/Promise semantics (Then chaining,
 // error propagation), Session stream ordering, async-vs-serial determinism
-// at multiple thread counts, batch fast paths, the Runtime-owned PlanCache
-// (budget option, env override, stats), and GCN/GIN pipeline parity.
+// at multiple thread counts, output reuse and aliasing, batch fast paths,
+// the Runtime-owned PlanCache (budget option, env override, stats), and
+// GCN/GIN pipeline parity.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -17,7 +21,9 @@
 #include "gnn/spmm_engine.h"
 #include "gnn/trainer.h"
 #include "graph/generators.h"
+#include "kernels/spmm_kernel.h"
 #include "runtime/runtime.h"
+#include "shard/sharded_session.h"
 #include "sparse/generate.h"
 #include "sparse/reference.h"
 #include "util/random.h"
@@ -224,6 +230,158 @@ TEST(RuntimeTest, FirstMultiplyWaitsOnAsyncPreprocessing) {
   SpmmEngine engine("hcspmm", &m, Rtx3090(), DataType::kTf32, /*num_threads=*/1);
   ASSERT_TRUE(engine.Multiply(x, &expected, nullptr).ok());
   EXPECT_EQ(fut.Get().MaxAbsDifference(expected), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Output reuse: a z of the right shape is written in place, whatever it held
+
+bool BitwiseEqual(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() && !a.reduced_storage() &&
+         !b.reduced_storage() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(float)) == 0;
+}
+
+DenseMatrix NanMatrix(int32_t rows, int32_t cols) {
+  return DenseMatrix(rows, cols, std::numeric_limits<float>::quiet_NaN());
+}
+
+// 160 x 160 with every kind of row window: window 0 (rows 0-15) is a dense
+// 16 x 32 block, so the plan routes it to the Tensor path; windows 2-3 (rows
+// 32-63) are empty; every other row keeps TestMatrix's sparse nonzeros.
+CsrMatrix MixedWindowMatrix() {
+  const CsrMatrix sparse = TestMatrix(21, /*rows=*/160, /*density=*/0.04);
+  std::vector<int64_t> row_ptr = {0};
+  std::vector<int32_t> col_ind;
+  std::vector<float> val;
+  for (int32_t r = 0; r < sparse.rows(); ++r) {
+    if (r < 16) {
+      for (int32_t c = 0; c < 32; ++c) {
+        col_ind.push_back(c);
+        val.push_back(0.01f * static_cast<float>(r + 1) + 0.3f);
+      }
+    } else if (r >= 64) {
+      for (int64_t k = sparse.RowBegin(r); k < sparse.RowEnd(r); ++k) {
+        col_ind.push_back(sparse.col_ind()[k]);
+        val.push_back(sparse.val()[k]);
+      }
+    }
+    row_ptr.push_back(static_cast<int64_t>(col_ind.size()));
+  }
+  return CsrMatrix(sparse.rows(), sparse.cols(), std::move(row_ptr),
+                   std::move(col_ind), std::move(val));
+}
+
+TEST(SessionOutputTest, ReusedOutputIsBitwiseEqualToFresh) {
+  PlanCache::Global()->Clear();
+  const CsrMatrix m = MixedWindowMatrix();
+  Pcg32 rng(23);
+  const DenseMatrix x = GenerateDense(m.cols(), 40, &rng);
+  const DenseMatrix x2 = GenerateDense(m.cols(), 40, &rng);
+  for (DataType dtype : {DataType::kTf32, DataType::kFp32}) {
+    for (int threads : {1, 4}) {
+      auto session = Runtime::Default()->OpenSession(
+          &m, SessionOptions().set_dtype(dtype).set_num_threads(threads));
+      const HybridPlan* plan = session->plan();
+      ASSERT_NE(plan, nullptr);
+      EXPECT_EQ(plan->assignment[0], CoreType::kTensorCore);
+      EXPECT_GT(plan->windows_cuda, 0);
+      EXPECT_EQ(plan->windows.windows[2].nnz, 0);
+      EXPECT_EQ(plan->windows.windows[3].nnz, 0);
+
+      DenseMatrix fresh;
+      ASSERT_TRUE(session->Multiply(x, &fresh, nullptr).ok());
+      if (dtype == DataType::kFp32) {
+        EXPECT_TRUE(BitwiseEqual(fresh, ReferenceSpmm(m, x)));
+      }
+
+      DenseMatrix z = NanMatrix(m.rows(), x.cols());
+      const float* storage = z.RowData(0);
+      ASSERT_TRUE(session->Multiply(x, &z, nullptr).ok());
+      EXPECT_EQ(z.RowData(0), storage) << "matching z must be reused";
+      EXPECT_TRUE(BitwiseEqual(z, fresh)) << "threads " << threads;
+
+      // Reused again, over a previous result instead of NaN.
+      DenseMatrix fresh2;
+      ASSERT_TRUE(session->Multiply(x2, &fresh2, nullptr).ok());
+      ASSERT_TRUE(session->Multiply(x2, &z, nullptr).ok());
+      EXPECT_TRUE(BitwiseEqual(z, fresh2));
+
+      DenseMatrix wrong_shape = NanMatrix(m.rows() + 3, x.cols() + 1);
+      ASSERT_TRUE(session->Multiply(x, &wrong_shape, nullptr).ok());
+      EXPECT_TRUE(BitwiseEqual(wrong_shape, fresh));
+
+      DenseMatrix reduced =
+          NanMatrix(m.rows(), x.cols()).ToPrecision(FeaturePrecision::kFp16);
+      ASSERT_TRUE(session->Multiply(x, &reduced, nullptr).ok());
+      EXPECT_EQ(reduced.precision(), FeaturePrecision::kFp32);
+      EXPECT_TRUE(BitwiseEqual(reduced, fresh));
+    }
+  }
+}
+
+TEST(SessionOutputTest, ShardedReusedOutputIsBitwiseEqualToFresh) {
+  const CsrMatrix m = MixedWindowMatrix();
+  Pcg32 rng(29);
+  const DenseMatrix x = GenerateDense(m.cols(), 33, &rng);
+  for (int k : {1, 4}) {
+    ShardingOptions sharding;
+    sharding.num_shards = k;
+    auto sharded =
+        ShardedSession::Open(Runtime::Default(), m, SessionOptions(), sharding);
+    DenseMatrix fresh;
+    ASSERT_TRUE(sharded->Multiply(x, &fresh, nullptr).ok());
+    DenseMatrix z = NanMatrix(m.rows(), x.cols());
+    ASSERT_TRUE(sharded->Multiply(x, &z, nullptr).ok());
+    EXPECT_TRUE(BitwiseEqual(z, fresh)) << k << " shards";
+  }
+}
+
+TEST(SessionOutputTest, EveryKernelOverwritesAReusedOutput) {
+  const CsrMatrix m = MixedWindowMatrix();
+  Pcg32 rng(31);
+  const DenseMatrix x = GenerateDense(m.cols(), 24, &rng);
+  KernelOptions opts;
+  opts.num_threads = 2;
+  for (const std::string& name : KernelNames()) {
+    auto kernel = MakeKernel(name);
+    DenseMatrix fresh;
+    ASSERT_TRUE(kernel->Run(m, x, Rtx3090(), opts, &fresh, nullptr).ok()) << name;
+    DenseMatrix z = NanMatrix(m.rows(), x.cols());
+    ASSERT_TRUE(kernel->Run(m, x, Rtx3090(), opts, &z, nullptr).ok()) << name;
+    EXPECT_TRUE(BitwiseEqual(z, fresh)) << name;
+  }
+}
+
+TEST(SessionOutputTest, OutputAliasingInputIsRejected) {
+  // Square graph, so z = A * x has x's own shape and would reuse its storage.
+  const CsrMatrix m = TestMatrix(33);
+  Pcg32 rng(35);
+  DenseMatrix x = GenerateDense(m.cols(), m.rows(), &rng);
+  const DenseMatrix before = x;
+
+  auto session = Runtime::Default()->OpenSession(&m, SessionOptions());
+  Status st = session->Multiply(x, &x, nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_TRUE(BitwiseEqual(x, before));
+
+  // The same guard holds when the session converts x to reduced storage
+  // first, so the kernel never sees the caller's x.
+  auto half = Runtime::Default()->OpenSession(
+      &m, SessionOptions().set_feature_precision(FeaturePrecision::kBf16));
+  EXPECT_EQ(half->Multiply(x, &x, nullptr).code(), StatusCode::kInvalidArgument);
+
+  ShardingOptions sharding;
+  sharding.num_shards = 4;
+  auto sharded =
+      ShardedSession::Open(Runtime::Default(), m, SessionOptions(), sharding);
+  EXPECT_EQ(sharded->Multiply(x, &x, nullptr).code(), StatusCode::kInvalidArgument);
+
+  for (const std::string& name : KernelNames()) {
+    st = MakeKernel(name)->Run(m, x, Rtx3090(), KernelOptions(), &x, nullptr);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << name;
+  }
+  EXPECT_TRUE(BitwiseEqual(x, before));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
-// SIMD execution layer: lane-width/tail handling, bitwise identity of every
+// SIMD execution layer: lane-width/tail handling, bitwise identity of the
+// SpMM row kernel against a naive in-test oracle at every level and of every
 // dispatched kernel against the forced-scalar reference table (including
 // full GCN/GIN training and the sharded path), DenseMatrix alignment, and
 // the HCSPMM_FORCE_SCALAR environment round-trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "gnn/optimizers.h"
@@ -73,8 +76,49 @@ std::vector<float> RandomVec(int64_t n, uint64_t seed, bool with_edge_values) {
 }
 
 // The dims the tail logic must survive: below, at, just above, and well
-// above every lane width (1..8), plus non-multiples.
-const std::vector<int32_t> kDimSweep = {1, 7, 8, 9, 64, 100};
+// above every lane width (1..8) and every SpMM register tile (up to 8
+// vectors, 64 floats at AVX2), plus non-multiples.
+const std::vector<int32_t> kDimSweep = {1,  7,  8,  9,  15,  16,  31, 32,
+                                        33, 63, 64, 65, 100, 128, 129};
+
+// Every table compiled in; KernelsFor falls back toward scalar, so a level
+// the CPU lacks repeats a lower table instead of failing.
+const std::vector<SimdLevel> kAllLevels = {SimdLevel::kScalar, SimdLevel::kSse2,
+                                           SimdLevel::kNeon, SimdLevel::kAvx2};
+
+// The spmm_rows definition as a naive triple loop: one mul and one add per
+// nonzero, in k order, into whatever z held. Every table must match it bit
+// for bit.
+void NaiveSpmmRows(const CsrMatrix& a, const DenseMatrix& x, DenseMatrix* z) {
+  for (int32_t r = 0; r < a.rows(); ++r) {
+    for (int32_t j = 0; j < x.cols(); ++j) {
+      float acc = z->At(r, j);
+      for (int64_t k = a.RowBegin(r); k < a.RowEnd(r); ++k) {
+        const float p = a.val()[k] * x.At(a.col_ind()[k], j);
+        acc = acc + p;
+      }
+      z->At(r, j) = acc;
+    }
+  }
+}
+
+// `a` with every 5th row and rows [40, 60) emptied.
+CsrMatrix WithEmptyRows(const CsrMatrix& a) {
+  std::vector<int64_t> row_ptr = {0};
+  std::vector<int32_t> col_ind;
+  std::vector<float> val;
+  for (int32_t r = 0; r < a.rows(); ++r) {
+    if (r % 5 != 0 && (r < 40 || r >= 60)) {
+      for (int64_t k = a.RowBegin(r); k < a.RowEnd(r); ++k) {
+        col_ind.push_back(a.col_ind()[k]);
+        val.push_back(a.val()[k]);
+      }
+    }
+    row_ptr.push_back(static_cast<int64_t>(col_ind.size()));
+  }
+  return CsrMatrix(a.rows(), a.cols(), std::move(row_ptr), std::move(col_ind),
+                   std::move(val));
+}
 
 TEST(SimdDispatchTest, LevelNamesAndTables) {
   EXPECT_STREQ(SimdLevelName(SimdLevel::kScalar), "scalar");
@@ -114,20 +158,30 @@ TEST(SimdDispatchTest, SetActiveSimdLevelOverridesAndRestores) {
   EXPECT_EQ(ActiveSimdLevel(), before);
 }
 
-TEST(SimdKernelTest, SpmmBitIdenticalAcrossLevelsAndTails) {
-  const simd::SimdKernels& scalar = simd::KernelsFor(SimdLevel::kScalar);
-  const simd::SimdKernels& best = simd::Active();
+TEST(SimdKernelTest, SpmmMatchesNaiveOracleAtEveryLevelAndTile) {
   for (int32_t dim : kDimSweep) {
     Pcg32 rng(91 + dim);
-    CsrMatrix a = GenerateUniformSparse(120, 90, 0.08, &rng);
-    DenseMatrix x = GenerateDense(90, dim, &rng);
-    DenseMatrix z_scalar(a.rows(), dim);
-    DenseMatrix z_simd(a.rows(), dim);
-    scalar.spmm_rows(a.row_ptr().data(), a.col_ind().data(), a.val().data(),
-                     x.RowData(0), z_scalar.MutableRowData(0), 0, a.rows(), dim);
-    best.spmm_rows(a.row_ptr().data(), a.col_ind().data(), a.val().data(),
-                   x.RowData(0), z_simd.MutableRowData(0), 0, a.rows(), dim);
-    ExpectBitwiseEqual(z_scalar, z_simd, "spmm");
+    const CsrMatrix a = WithEmptyRows(GenerateUniformSparse(120, 90, 0.08, &rng));
+    const DenseMatrix x = GenerateDense(90, dim, &rng);
+    // A non-zero starting z pins the z += contract, not just z = A * x.
+    const DenseMatrix z0 = GenerateDense(a.rows(), dim, &rng);
+    DenseMatrix expected = z0;
+    NaiveSpmmRows(a, x, &expected);
+    for (SimdLevel level : kAllLevels) {
+      const simd::SimdKernels& k = simd::KernelsFor(level);
+      DenseMatrix z = z0;
+      k.spmm_rows(a.row_ptr().data(), a.col_ind().data(), a.val().data(),
+                  x.RowData(0), z.MutableRowData(0), 0, a.rows(), dim);
+      ExpectBitwiseEqual(expected, z, SimdLevelName(k.level));
+      // Split row ranges: the prefetch lookahead stops at each range's end.
+      z = z0;
+      for (int32_t begin = 0; begin < a.rows(); begin += 37) {
+        const int32_t end = std::min(a.rows(), begin + 37);
+        k.spmm_rows(a.row_ptr().data(), a.col_ind().data(), a.val().data(),
+                    x.RowData(0), z.MutableRowData(0), begin, end, dim);
+      }
+      ExpectBitwiseEqual(expected, z, SimdLevelName(k.level));
+    }
   }
 }
 
