@@ -129,9 +129,9 @@ int main(int argc, char** argv) {
     DenseMatrix buf = GenerateDense(1 << 11, 1 << 11, &rng);
     DenseMatrix buf2 = buf;
     const double scalar_ms =
-        BestOfMs(5, [&] { scalar.relu(buf.mutable_data().data(), n); });
+        BestOfMs(5, [&] { scalar.relu(buf.data().data(), buf.mutable_data().data(), n); });
     const double simd_ms =
-        BestOfMs(5, [&] { vec.relu(buf2.mutable_data().data(), n); });
+        BestOfMs(5, [&] { vec.relu(buf2.data().data(), buf2.mutable_data().data(), n); });
     const double diff = buf.MaxAbsDifference(buf2);
     points.push_back({"relu", static_cast<int32_t>(1 << 11), scalar_ms, simd_ms,
                       diff, diff == 0.0,

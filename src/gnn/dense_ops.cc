@@ -34,6 +34,10 @@ int64_t GemmRowGrain(int64_t flops_per_row) {
   return std::max<int64_t>(1, kGemmGrainFlops / std::max<int64_t>(1, flops_per_row));
 }
 
+/// Minimum output rows per A^T * B chunk: every chunk streams all of A and
+/// B, so a thin span multiplies that traffic for few flops.
+constexpr int64_t kGemmTransAMinSpan = 8;
+
 // Row-parallel GEMMs over the shared sparse/reference.cc row-range kernels:
 // one copy of each loop, so the parallel results are bit-identical to the
 // serial reference for every thread count (each output row is written by
@@ -61,7 +65,7 @@ DenseMatrix ParallelGemmTransA(const DenseMatrix& a, const DenseMatrix& b) {
         internal::GemmTransARows(a, b, static_cast<int32_t>(i0),
                                  static_cast<int32_t>(i1), &c);
       },
-      GemmRowGrain(2ll * a.rows() * b.cols()));
+      std::max(kGemmTransAMinSpan, GemmRowGrain(2ll * a.rows() * b.cols())));
   return c;
 }
 
@@ -130,14 +134,17 @@ DenseMatrix MeteredGemmTransB(const DenseMatrix& a, const DenseMatrix& b,
   return ParallelGemmTransB(a, b);
 }
 
-void MeteredReluInPlace(DenseMatrix* m, const DeviceSpec& dev,
+DenseMatrix MeteredRelu(const DenseMatrix& in, const DeviceSpec& dev,
                         KernelProfile* profile) {
-  float* data = m->mutable_data().data();
+  DenseMatrix out(in.rows(), in.cols());
+  const float* src = in.data().data();
+  float* dst = out.mutable_data().data();
   ParallelFor(
-      0, static_cast<int64_t>(m->mutable_data().size()), /*num_threads=*/0,
-      [&](int64_t b, int64_t e) { simd::Active().relu(data + b, e - b); },
+      0, static_cast<int64_t>(in.data().size()), /*num_threads=*/0,
+      [&](int64_t b, int64_t e) { simd::Active().relu(src + b, dst + b, e - b); },
       kElementwiseGrain);
-  MeterElementwise("relu", m->MemoryBytes() * 2, dev, profile);
+  MeterElementwise("relu", in.MemoryBytes() * 2, dev, profile);
+  return out;
 }
 
 DenseMatrix MeteredReluGrad(const DenseMatrix& grad_out, const DenseMatrix& pre_act,
@@ -169,10 +176,16 @@ DenseMatrix SoftmaxRows(const DenseMatrix& logits) {
           const float* row = logits.RowData(r);
           float mx = row[0];
           for (int32_t j = 1; j < logits.cols(); ++j) mx = std::max(mx, row[j]);
+          // Each float exp is computed once, kept in `out`, then divided by
+          // the double sum — the values of calling it twice.
+          float* o = out.MutableRowData(r);
           double sum = 0.0;
-          for (int32_t j = 0; j < logits.cols(); ++j) sum += std::exp(row[j] - mx);
           for (int32_t j = 0; j < logits.cols(); ++j) {
-            out.At(r, j) = static_cast<float>(std::exp(row[j] - mx) / sum);
+            o[j] = std::exp(row[j] - mx);
+            sum += o[j];
+          }
+          for (int32_t j = 0; j < logits.cols(); ++j) {
+            o[j] = static_cast<float>(o[j] / sum);
           }
         }
       },

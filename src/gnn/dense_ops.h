@@ -25,8 +25,9 @@ DenseMatrix MeteredGemmTransB(const DenseMatrix& a, const DenseMatrix& b,
                               const DeviceSpec& dev, DataType dtype,
                               KernelProfile* profile);
 
-/// In-place ReLU, metered as a bandwidth-bound kernel.
-void MeteredReluInPlace(DenseMatrix* m, const DeviceSpec& dev, KernelProfile* profile);
+/// ReLU(in) as a new matrix in one pass, metered as a bandwidth-bound kernel.
+DenseMatrix MeteredRelu(const DenseMatrix& in, const DeviceSpec& dev,
+                        KernelProfile* profile);
 
 /// grad_in = grad_out * (pre_act > 0), metered.
 DenseMatrix MeteredReluGrad(const DenseMatrix& grad_out, const DenseMatrix& pre_act,

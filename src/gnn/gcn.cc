@@ -47,15 +47,17 @@ Future<DenseMatrix> GcnModel::Aggregate(DenseMatrix in, KernelProfile* profile) 
 
 DenseMatrix GcnModel::Forward(PhaseBreakdown* times) {
   inputs_.clear();
+  hidden_.clear();
   aggregated_.clear();
   dropout_mask_.clear();
-  DenseMatrix x = graph_->features;
-  for (int32_t l = 0; l < config_.num_layers; ++l) {
+  hidden_.reserve(config_.num_layers);  // inputs_ points into it
+  const DenseMatrix* x = &graph_->features;
+  for (int32_t l = 0;; ++l) {
     inputs_.push_back(x);
     // Update phase: U = X W (Equation 2, cuBLAS GEMM).
     KernelProfile gemm_prof;
     DenseMatrix u =
-        MeteredGemm(x, weights_[l], agg_.device(), agg_.dtype(), &gemm_prof);
+        MeteredGemm(*x, weights_[l], agg_.device(), agg_.dtype(), &gemm_prof);
     if (times != nullptr) FoldProfile(gemm_prof, &times->update_ns, &times->launch_ns);
 
     // Aggregation phase: Z = Abar U (Equation 1, SpMM). The forward chain is
@@ -66,20 +68,22 @@ DenseMatrix GcnModel::Forward(PhaseBreakdown* times) {
     HCSPMM_CHECK_OK(agg_.Multiply(u, &z, &agg_prof));
     if (times != nullptr) FoldProfile(agg_prof, &times->agg_ns, &times->launch_ns);
 
-    aggregated_.push_back(z);
-    if (l < config_.num_layers - 1) {
-      KernelProfile relu_prof;
-      MeteredReluInPlace(&z, agg_.device(), &relu_prof);
-      if (times != nullptr) {
-        FoldProfile(relu_prof, &times->elementwise_ns, &times->launch_ns);
-      }
-      if (config_.dropout > 0.0) {
-        dropout_mask_.push_back(DropoutForward(&z, config_.dropout, &dropout_rng_));
-      }
+    if (l == config_.num_layers - 1) {
+      logits_bytes_ = z.MemoryBytes();
+      return z;
     }
-    x = std::move(z);
+    KernelProfile relu_prof;
+    hidden_.push_back(MeteredRelu(z, agg_.device(), &relu_prof));
+    if (times != nullptr) {
+      FoldProfile(relu_prof, &times->elementwise_ns, &times->launch_ns);
+    }
+    if (config_.dropout > 0.0) {
+      dropout_mask_.push_back(
+          DropoutForward(&hidden_.back(), config_.dropout, &dropout_rng_));
+    }
+    aggregated_.push_back(std::move(z));
+    x = &hidden_.back();
   }
-  return x;
 }
 
 void GcnModel::Backward(const DenseMatrix& grad_logits, PhaseBreakdown* times) {
@@ -119,7 +123,7 @@ void GcnModel::Backward(const DenseMatrix& grad_logits, PhaseBreakdown* times) {
     // Update backward (Equation 3): dW = X^T dU — deferred off the critical
     // path, overlapping the in-flight aggregation.
     KernelProfile dw_prof;
-    weight_grads[l] = MeteredGemmTransA(inputs_[l], d_u, dev, dtype, &dw_prof);
+    weight_grads[l] = MeteredGemmTransA(*inputs_[l], d_u, dev, dtype, &dw_prof);
 
     if (times != nullptr) {
       // Fold in the exact order of the serial path (fp addition is not
@@ -160,8 +164,8 @@ EpochResult GcnModel::TrainEpoch() {
 }
 
 int64_t GcnModel::ActivationBytes() const {
-  int64_t bytes = 0;
-  for (const DenseMatrix& m : inputs_) bytes += m.MemoryBytes();
+  int64_t bytes = logits_bytes_;
+  for (const DenseMatrix* m : inputs_) bytes += m->MemoryBytes();
   for (const DenseMatrix& m : aggregated_) bytes += m.MemoryBytes();
   return bytes;
 }

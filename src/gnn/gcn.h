@@ -62,7 +62,9 @@ class GcnModel {
   /// sharded) session.
   GcnModel(const Graph* graph, const GnnConfig& config, SpmmEngine* engine);
 
-  /// Forward pass; caches activations for backward. Returns logits.
+  /// Forward pass; caches activations for backward (layer 0's input by
+  /// reference: graph->features must not change before Backward). Returns
+  /// logits.
   DenseMatrix Forward(PhaseBreakdown* times);
 
   /// Backward pass from d(loss)/d(logits); fills gradients and applies SGD.
@@ -93,9 +95,11 @@ class GcnModel {
   std::unique_ptr<Optimizer> optimizer_;
   Pcg32 dropout_rng_{0xd509};
   // Caches from the last Forward.
-  std::vector<DenseMatrix> inputs_;        // X_l
-  std::vector<DenseMatrix> aggregated_;    // Z_l = Abar (X_l W_l), pre-ReLU
-  std::vector<DenseMatrix> dropout_mask_;  // per hidden layer (if enabled)
+  std::vector<const DenseMatrix*> inputs_;  // X_l: the features, then hidden_
+  std::vector<DenseMatrix> hidden_;         // X_{l+1} = ReLU(Z_l), after dropout
+  std::vector<DenseMatrix> aggregated_;     // Z_l = Abar (X_l W_l), pre-ReLU
+  std::vector<DenseMatrix> dropout_mask_;   // per hidden layer (if enabled)
+  int64_t logits_bytes_ = 0;  // the last Z_l, handed to the caller
 };
 
 /// Glorot-style random weight matrix.

@@ -32,31 +32,32 @@ Future<DenseMatrix> GinModel::Aggregate(DenseMatrix in, KernelProfile* profile) 
 
 DenseMatrix GinModel::Forward(PhaseBreakdown* times) {
   inputs_.clear();
+  outputs_.clear();
   aggregated_.clear();
   hidden_pre_.clear();
   hidden_act_.clear();
+  outputs_.reserve(config_.num_layers);  // inputs_ points into it
   const DeviceSpec& dev = agg_.device();
   const DataType dtype = agg_.dtype();
 
-  DenseMatrix x = graph_->features;
-  for (int32_t l = 0; l < config_.num_layers; ++l) {
+  const DenseMatrix* x = &graph_->features;
+  for (int32_t l = 0;; ++l) {
     inputs_.push_back(x);
     // Aggregation first: Z = (A + (1+eps) I) X. The forward chain is strict
     // (the MLP consumes Z immediately), so it runs synchronously; the
     // pipelining overlap lives in Backward.
     KernelProfile agg_prof;
-    DenseMatrix z;
-    HCSPMM_CHECK_OK(agg_.Multiply(x, &z, &agg_prof));
-    aggregated_.push_back(z);
+    aggregated_.emplace_back();
+    HCSPMM_CHECK_OK(agg_.Multiply(*x, &aggregated_.back(), &agg_prof));
+    const DenseMatrix& z = aggregated_.back();
 
     // Update: two-layer MLP.
     KernelProfile gemm_prof;
     DenseMatrix h = MeteredGemm(z, w1_[l], dev, dtype, &gemm_prof);
-    hidden_pre_.push_back(h);
     KernelProfile relu_prof;
-    MeteredReluInPlace(&h, dev, &relu_prof);
-    hidden_act_.push_back(h);
-    DenseMatrix out = MeteredGemm(h, w2_[l], dev, dtype, &gemm_prof);
+    hidden_act_.push_back(MeteredRelu(h, dev, &relu_prof));
+    hidden_pre_.push_back(std::move(h));
+    DenseMatrix out = MeteredGemm(hidden_act_.back(), w2_[l], dev, dtype, &gemm_prof);
 
     if (times != nullptr) {
       FoldProfile(agg_prof, &times->agg_ns, &times->launch_ns);
@@ -70,9 +71,10 @@ DenseMatrix GinModel::Forward(PhaseBreakdown* times) {
         times->agg_ns = std::max(0.0, times->agg_ns - traffic_ns);
       }
     }
-    x = std::move(out);
+    if (l == config_.num_layers - 1) return out;
+    outputs_.push_back(std::move(out));
+    x = &outputs_.back();
   }
-  return x;
 }
 
 void GinModel::Backward(const DenseMatrix& grad_logits, PhaseBreakdown* times) {
@@ -141,7 +143,7 @@ EpochResult GinModel::TrainEpoch() {
 
 int64_t GinModel::ActivationBytes() const {
   int64_t bytes = 0;
-  for (const auto& m : inputs_) bytes += m.MemoryBytes();
+  for (const DenseMatrix* m : inputs_) bytes += m->MemoryBytes();
   for (const auto& m : aggregated_) bytes += m.MemoryBytes();
   for (const auto& m : hidden_pre_) bytes += m.MemoryBytes();
   for (const auto& m : hidden_act_) bytes += m.MemoryBytes();

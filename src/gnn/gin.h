@@ -40,7 +40,8 @@ class GinModel {
   AggregatorRef agg_;
   std::vector<DenseMatrix> w1_, w2_;  // per-layer MLP weights
   // Caches from the last Forward.
-  std::vector<DenseMatrix> inputs_;      // X_l
+  std::vector<const DenseMatrix*> inputs_;  // X_l: the features, then outputs_
+  std::vector<DenseMatrix> outputs_;     // X_{l+1} of every layer but the last
   std::vector<DenseMatrix> aggregated_;  // Z_l = Ahat X_l
   std::vector<DenseMatrix> hidden_pre_;  // H_l = Z_l W1 (pre-ReLU)
   std::vector<DenseMatrix> hidden_act_;  // ReLU(H_l)

@@ -26,7 +26,7 @@ namespace internal {
 // serial reference: a range covers output rows [row_begin, row_end) and is
 // written by exactly one caller, with a fixed per-element accumulation order.
 
-/// C rows [row_begin, row_end) of C = A * B. `c` must be pre-sized and zeroed.
+/// C rows [row_begin, row_end) of C = A * B, overwritten. `c` must be pre-sized.
 void GemmRows(const DenseMatrix& a, const DenseMatrix& b, int32_t row_begin,
               int32_t row_end, DenseMatrix* c);
 

@@ -6,12 +6,14 @@
 // pointers selects the widest implementation the CPU supports.
 //
 // Bit-identity contract: vectorization is strictly along the independent
-// output-column axis with separate mul + add (the per-ISA translation units
-// are built with -ffp-contract=off so no FMA contraction can sneak in), so
-// every output element is produced by exactly the same sequence of IEEE
-// operations as the scalar reference — fp32 results are bit-identical across
-// all levels, thread counts, and shard counts. tests/simd_test.cc asserts
-// this against the forced-scalar table.
+// output-column axis (GEMM tiles also span output rows, never k) with
+// separate mul + add (the per-ISA translation units are built with
+// -ffp-contract=off so no FMA contraction can sneak in), so every output
+// element is produced by exactly the same sequence of IEEE operations as
+// the scalar reference, up to the GEMMs' masked +0 adds for zero A
+// elements, which are exact identities — fp32 results are bit-identical
+// across all levels, thread counts, and shard counts. tests/simd_test.cc
+// asserts this against naive oracles and the forced-scalar table.
 #pragma once
 
 #include <cstdint>
@@ -58,14 +60,17 @@ struct SimdKernels {
                                 const uint16_t* x, float* z, int32_t row_begin,
                                 int32_t row_end, int32_t dim, bool bf16);
 
-  /// C[i, :] += A[i, k] * B[k, :] over i in [row_begin, row_end); A is
-  /// (rows x a_cols), B is (a_cols x b_cols), zero A entries skipped.
+  /// C[i, :] = sum_k A[i, k] * B[k, :] over i in [row_begin, row_end),
+  /// overwriting C; A is (rows x a_cols), B is (a_cols x b_cols). Each
+  /// element starts at +0 and adds one product per nonzero A element in
+  /// k-ascending order; a zero A element (either sign) contributes nothing,
+  /// even where B holds Inf or NaN.
   void (*gemm_rows)(const float* a, const float* b, float* c, int32_t a_cols,
                     int32_t b_cols, int32_t row_begin, int32_t row_end);
 
   /// C = A^T * B restricted to output rows i in [i_begin, i_end) (columns of
-  /// A); k (rows of A) stays the outer loop so each output element
-  /// accumulates in k-ascending order regardless of the span.
+  /// A), overwriting them, with gemm_rows' per-element sequence and skip
+  /// rule: k-ascending regardless of the span.
   void (*gemm_ta_rows)(const float* a, const float* b, float* c, int32_t a_rows,
                        int32_t a_cols, int32_t b_cols, int32_t i_begin,
                        int32_t i_end);
@@ -76,9 +81,9 @@ struct SimdKernels {
   void (*gemm_tb_rows)(const float* a, const float* b, float* c, int32_t a_cols,
                        int32_t b_rows, int32_t row_begin, int32_t row_end);
 
-  /// z[i] = max(z[i], 0) with std::max(x, 0.0f) semantics (NaN and -0.0
-  /// pass through unchanged).
-  void (*relu)(float* z, int64_t n);
+  /// dst[i] = max(src[i], 0) with std::max(x, 0.0f) semantics (NaN and -0.0
+  /// pass through unchanged); src == dst is allowed.
+  void (*relu)(const float* src, float* dst, int64_t n);
 
   /// dst[i] = pre_act[i] > 0 ? grad_out[i] : 0.
   void (*relu_grad)(const float* grad_out, const float* pre_act, float* dst,

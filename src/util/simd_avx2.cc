@@ -28,6 +28,7 @@ struct Avx2Traits {
   static VF LoadF(const float* p) { return _mm256_loadu_ps(p); }
   static void StoreF(float* p, VF v) { _mm256_storeu_ps(p, v); }
   static VF BroadcastF(float s) { return _mm256_set1_ps(s); }
+  static VD LoadD(const double* p) { return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4)}; }
   static VD BroadcastD(double s) { return {_mm256_set1_pd(s), _mm256_set1_pd(s)}; }
   static VD ZeroD() { return {_mm256_setzero_pd(), _mm256_setzero_pd()}; }
   static VF AddF(VF a, VF b) { return _mm256_add_ps(a, b); }
@@ -40,6 +41,10 @@ struct Avx2Traits {
   }
   static VF Gt0AndF(VF gate, VF x) {
     return _mm256_and_ps(_mm256_cmp_ps(gate, _mm256_setzero_ps(), _CMP_GT_OQ), x);
+  }
+  // Unordered not-equal: a NaN gate keeps x, like the scalar `gate != 0`.
+  static VF NonzeroAndF(VF gate, VF x) {
+    return _mm256_and_ps(_mm256_cmp_ps(gate, _mm256_setzero_ps(), _CMP_NEQ_UQ), x);
   }
   static VD AddD(VD a, VD b) {
     return {_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};
@@ -58,17 +63,6 @@ struct Avx2Traits {
   static VF NarrowDToF(VD v) {
     return _mm256_insertf128_ps(_mm256_castps128_ps256(_mm256_cvtpd_ps(v.lo)),
                                 _mm256_cvtpd_ps(v.hi), 1);
-  }
-  // Strided scalar loads instead of vgatherdps: the strides here are row
-  // pitches (well beyond gather's fast paths) and four plain loads per half
-  // keep the port pressure predictable.
-  static VD GatherFAsD(const float* p, int64_t stride) {
-    return {_mm256_set_pd(
-                static_cast<double>(p[3 * stride]), static_cast<double>(p[2 * stride]),
-                static_cast<double>(p[stride]), static_cast<double>(p[0])),
-            _mm256_set_pd(
-                static_cast<double>(p[7 * stride]), static_cast<double>(p[6 * stride]),
-                static_cast<double>(p[5 * stride]), static_cast<double>(p[4 * stride]))};
   }
 };
 

@@ -12,20 +12,23 @@
 //   VF  AddF(VF, VF);  VF SubF(VF, VF);  VF MulF(VF, VF);
 //   VF  ReluF(VF);                           // x < 0 ? 0 : x  (NaN, -0 pass)
 //   VF  Gt0AndF(VF gate, VF x);              // gate > 0 ? x : 0
+//   VF  NonzeroAndF(VF gate, VF x);          // gate != 0 ? x : +0 (NaN: x)
+//   VD  LoadD(const double*);                // unaligned
 //   VD  AddD(VD, VD);  VD MulD(VD, VD);  VD DivD(VD, VD);  VD SqrtD(VD);
 //   VD  WidenFToD(VF);                       // exact
 //   VF  NarrowDToF(VD);                      // round-to-nearest-even
-//   VD  GatherFAsD(const float* p, int64_t stride);  // p[l*stride] per lane
 //
 // Bit-identity: every op above maps to one IEEE-754 operation per lane (or
-// an exact conversion), lanes only ever span *independent* outputs, and the
-// scalar tails below repeat the seed expressions verbatim — so each output
-// element sees the same operation sequence at every width.
+// an exact conversion or a bit mask), lanes only ever span *independent*
+// outputs, and the scalar tails below repeat the seed expressions verbatim —
+// so each output element sees the same operation sequence at every width.
 
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "util/half.h"
 #include "util/packed_index.h"
@@ -222,72 +225,229 @@ void SpmmRowsPackedHalfT(const int64_t* row_ptr, const uint8_t* stream,
   }
 }
 
+// n columns rounded up to whole vectors. GEMM rows are padded to this pitch
+// so every column tile is full vectors; pad lanes are computed and dropped.
+template <typename T>
+inline int32_t PaddedCols(int32_t n) {
+  return (n + T::kWidth - 1) / T::kWidth * T::kWidth;
+}
+
+// dst (rows x pitch) = src (rows x n), zero-filled beyond column n.
+inline void PadRows(const float* src, int32_t rows, int32_t n, int32_t pitch,
+                    float* dst) {
+  for (int32_t r = 0; r < rows; ++r) {
+    const float* in = src + static_cast<int64_t>(r) * n;
+    float* out = dst + static_cast<int64_t>(r) * pitch;
+    std::copy(in, in + n, out);
+    std::fill(out + n, out + pitch, 0.0f);
+  }
+}
+
+// Output rows one call of GemmGroupT covers. A tile of NV vectors per row
+// spans GemmTileRows<NV>() of them, so every tile keeps at most 8
+// accumulator vectors and rows share each loaded B vector.
+constexpr int32_t kGemmGroupRows = 4;
+
+template <int NV>
+constexpr int GemmTileRows() {
+  return NV <= 2 ? 4 : (NV <= 4 ? 2 : 1);
+}
+
+// Rows of A and B that GemmTransARowsT takes per block: the block of B
+// stays in cache while every output row of the span reads it.
+constexpr int32_t kGemmKBlock = 256;
+
+// One R x NV register tile: output row r, columns [0, NV * W) of
+// acc + r * pitch, accumulates A(r, k) * B row k for k in [0, kn), where
+// A(r, k) = a[r * r_stride + k * k_stride] and B row k starts at
+// b + k * pitch. The accumulators are loaded and stored once. Every
+// product is masked by A(r, k) != 0 (a vector compare, no branch), so a
+// zero A element adds +0 even when its B entry is Inf or NaN. Accumulators
+// start from +0 and x + 0 == x for every x but -0, which a sum starting at
+// +0 never reaches — so each lane sees exactly the seed's sequence: one mul
+// and one add per nonzero A element, k ascending.
+template <typename T, int R, int NV>
+inline void GemmTileT(const float* a, int64_t r_stride, int64_t k_stride, int32_t kn,
+                      const float* b, int32_t pitch, float* acc_rows) {
+  constexpr int32_t W = T::kWidth;
+  typename T::VF acc[R][NV];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < NV; ++v) acc[r][v] = T::LoadF(acc_rows + r * pitch + v * W);
+  }
+  for (int32_t k = 0; k < kn; ++k) {
+    const float* br = b + static_cast<int64_t>(k) * pitch;
+    for (int r = 0; r < R; ++r) {
+      const typename T::VF va = T::BroadcastF(a[r * r_stride + k * k_stride]);
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = T::AddF(acc[r][v],
+                            T::NonzeroAndF(va, T::MulF(va, T::LoadF(br + v * W))));
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < NV; ++v) T::StoreF(acc_rows + r * pitch + v * W, acc[r][v]);
+  }
+}
+
+// Columns [0, NV * W) of `rows` output rows, in tiles of GemmTileRows<NV>
+// rows and then single rows.
+template <typename T, int NV>
+inline void GemmColumnTileT(const float* a, int64_t r_stride, int64_t k_stride,
+                            int32_t kn, const float* b, int32_t pitch, float* acc,
+                            int32_t rows) {
+  constexpr int R = GemmTileRows<NV>();
+  int32_t r = 0;
+  for (; r + R <= rows; r += R) {
+    GemmTileT<T, R, NV>(a + r * r_stride, r_stride, k_stride, kn, b, pitch,
+                        acc + static_cast<int64_t>(r) * pitch);
+  }
+  for (; r < rows; ++r) {
+    GemmTileT<T, 1, NV>(a + r * r_stride, r_stride, k_stride, kn, b, pitch,
+                        acc + static_cast<int64_t>(r) * pitch);
+  }
+}
+
+// acc rows [0, rows) (rows <= kGemmGroupRows, pitch `pitch`) += A * B over
+// the padded width: column tiles of 8 vectors, then one of the remaining
+// 1..7.
+template <typename T>
+void GemmGroupT(const float* a, int64_t r_stride, int64_t k_stride, int32_t kn,
+                const float* b, int32_t pitch, float* acc, int32_t rows) {
+  constexpr int32_t W = T::kWidth;
+  int32_t col = 0;
+  for (; col + 8 * W <= pitch; col += 8 * W) {
+    GemmColumnTileT<T, 8>(a, r_stride, k_stride, kn, b + col, pitch, acc + col, rows);
+  }
+  const float* bc = b + col;
+  float* ac = acc + col;
+  switch ((pitch - col) / W) {
+    case 7: GemmColumnTileT<T, 7>(a, r_stride, k_stride, kn, bc, pitch, ac, rows); break;
+    case 6: GemmColumnTileT<T, 6>(a, r_stride, k_stride, kn, bc, pitch, ac, rows); break;
+    case 5: GemmColumnTileT<T, 5>(a, r_stride, k_stride, kn, bc, pitch, ac, rows); break;
+    case 4: GemmColumnTileT<T, 4>(a, r_stride, k_stride, kn, bc, pitch, ac, rows); break;
+    case 3: GemmColumnTileT<T, 3>(a, r_stride, k_stride, kn, bc, pitch, ac, rows); break;
+    case 2: GemmColumnTileT<T, 2>(a, r_stride, k_stride, kn, bc, pitch, ac, rows); break;
+    case 1: GemmColumnTileT<T, 1>(a, r_stride, k_stride, kn, bc, pitch, ac, rows); break;
+    default: break;
+  }
+}
+
+// C[i, :] = A[i, :] * B, kGemmGroupRows rows at a time into a padded
+// scratch group that is then copied out (B is padded to the same pitch
+// when b_cols needs it).
 template <typename T>
 void GemmRowsT(const float* a, const float* b, float* c, int32_t a_cols,
                int32_t b_cols, int32_t row_begin, int32_t row_end) {
-  for (int32_t i = row_begin; i < row_end; ++i) {
-    const float* arow = a + static_cast<int64_t>(i) * a_cols;
-    float* crow = c + static_cast<int64_t>(i) * b_cols;
-    for (int32_t k = 0; k < a_cols; ++k) {
-      const float aik = arow[k];
-      if (aik == 0.0f) continue;
-      AxpyRowT<T>(aik, b + static_cast<int64_t>(k) * b_cols, crow, b_cols);
+  const int32_t pitch = PaddedCols<T>(b_cols);
+  std::vector<float> b_padded;
+  const float* bp = b;
+  if (pitch != b_cols) {
+    b_padded.resize(static_cast<size_t>(a_cols) * pitch);
+    PadRows(b, a_cols, b_cols, pitch, b_padded.data());
+    bp = b_padded.data();
+  }
+  std::vector<float> acc(static_cast<size_t>(kGemmGroupRows) * pitch);
+  for (int32_t i = row_begin; i < row_end; i += kGemmGroupRows) {
+    const int32_t rows = std::min(kGemmGroupRows, row_end - i);
+    std::fill(acc.begin(), acc.end(), 0.0f);
+    GemmGroupT<T>(a + static_cast<int64_t>(i) * a_cols, a_cols, 1, a_cols, bp, pitch,
+                  acc.data(), rows);
+    for (int32_t r = 0; r < rows; ++r) {
+      const float* row = acc.data() + static_cast<int64_t>(r) * pitch;
+      std::copy(row, row + b_cols, c + static_cast<int64_t>(i + r) * b_cols);
     }
   }
 }
 
+// C[i, :] = sum_k A[k, i] * B[k, :] for i in [i_begin, i_end). k runs in
+// blocks of kGemmKBlock in ascending order; each block accumulates into a
+// padded copy of the span's C rows, which is written to C once at the end,
+// so neighbouring spans never share a cache line while they run.
 template <typename T>
 void GemmTransARowsT(const float* a, const float* b, float* c, int32_t a_rows,
                      int32_t a_cols, int32_t b_cols, int32_t i_begin,
                      int32_t i_end) {
-  for (int32_t k = 0; k < a_rows; ++k) {
-    const float* arow = a + static_cast<int64_t>(k) * a_cols;
-    const float* brow = b + static_cast<int64_t>(k) * b_cols;
-    for (int32_t i = i_begin; i < i_end; ++i) {
-      const float aki = arow[i];
-      if (aki == 0.0f) continue;
-      AxpyRowT<T>(aki, brow, c + static_cast<int64_t>(i) * b_cols, b_cols);
+  const int32_t pitch = PaddedCols<T>(b_cols);
+  const int32_t span = i_end - i_begin;
+  std::vector<float> acc(static_cast<size_t>(span) * pitch, 0.0f);
+  std::vector<float> b_padded(
+      pitch != b_cols ? static_cast<size_t>(kGemmKBlock) * pitch : 0);
+  for (int32_t k0 = 0; k0 < a_rows; k0 += kGemmKBlock) {
+    const int32_t kn = std::min(kGemmKBlock, a_rows - k0);
+    const float* bblock = b + static_cast<int64_t>(k0) * b_cols;
+    if (pitch != b_cols) {
+      PadRows(bblock, kn, b_cols, pitch, b_padded.data());
+      bblock = b_padded.data();
     }
+    const float* ablock = a + static_cast<int64_t>(k0) * a_cols;
+    for (int32_t i = i_begin; i < i_end; i += kGemmGroupRows) {
+      GemmGroupT<T>(ablock + i, 1, a_cols, kn, bblock, pitch,
+                    acc.data() + static_cast<int64_t>(i - i_begin) * pitch,
+                    std::min(kGemmGroupRows, i_end - i));
+    }
+  }
+  for (int32_t i = i_begin; i < i_end; ++i) {
+    const float* row = acc.data() + static_cast<int64_t>(i - i_begin) * pitch;
+    std::copy(row, row + b_cols, c + static_cast<int64_t>(i) * b_cols);
   }
 }
 
+// One register tile of GemmTransBRowsT: output columns [col, col + NV * W)
+// of a row, each lane its own double dot product over k in ascending order,
+// reading contiguous rows of the widened B^T.
+template <typename T, int NV>
+inline void GemmTbTileT(const float* arow, const double* bt, int32_t a_cols,
+                        int32_t pitch, int32_t col, float* crow) {
+  typename T::VD acc[NV];
+  for (int v = 0; v < NV; ++v) acc[v] = T::ZeroD();
+  for (int32_t k = 0; k < a_cols; ++k) {
+    const typename T::VD va = T::BroadcastD(static_cast<double>(arow[k]));
+    const double* br = bt + static_cast<int64_t>(k) * pitch + col;
+    for (int v = 0; v < NV; ++v) {
+      acc[v] = T::AddD(acc[v], T::MulD(va, T::LoadD(br + v * T::kWidth)));
+    }
+  }
+  for (int v = 0; v < NV; ++v) T::StoreF(crow + col + v * T::kWidth, T::NarrowDToF(acc[v]));
+}
+
+// C[i, :] = A[i, :] * B^T: B (b_rows x a_cols) is transposed and widened
+// to double once (exact) into a zero-padded copy, so each tile streams
+// contiguous rows instead of gathering one lane per B row.
 template <typename T>
 void GemmTransBRowsT(const float* a, const float* b, float* c, int32_t a_cols,
                      int32_t b_rows, int32_t row_begin, int32_t row_end) {
+  constexpr int32_t W = T::kWidth;
+  const int32_t pitch = PaddedCols<T>(b_rows);
+  std::vector<double> bt(static_cast<size_t>(a_cols) * pitch, 0.0);
+  for (int32_t j = 0; j < b_rows; ++j) {
+    for (int32_t k = 0; k < a_cols; ++k) {
+      bt[static_cast<size_t>(k) * pitch + j] = b[static_cast<int64_t>(j) * a_cols + k];
+    }
+  }
+  std::vector<float> crow(static_cast<size_t>(pitch));
   for (int32_t i = row_begin; i < row_end; ++i) {
     const float* arow = a + static_cast<int64_t>(i) * a_cols;
-    float* crow = c + static_cast<int64_t>(i) * b_rows;
-    int32_t j = 0;
-    // Lanes span W independent output columns j; each lane accumulates its
-    // own double dot product in k-ascending order (B rows are gathered with
-    // stride a_cols), so the per-output order matches the scalar tail.
-    for (; j + T::kWidth <= b_rows; j += T::kWidth) {
-      typename T::VD acc = T::ZeroD();
-      const float* bbase = b + static_cast<int64_t>(j) * a_cols;
-      for (int32_t k = 0; k < a_cols; ++k) {
-        typename T::VD va = T::BroadcastD(static_cast<double>(arow[k]));
-        acc = T::AddD(acc, T::MulD(va, T::GatherFAsD(bbase + k, a_cols)));
-      }
-      T::StoreF(crow + j, T::NarrowDToF(acc));
+    int32_t col = 0;
+    for (; col + 4 * W <= pitch; col += 4 * W) {
+      GemmTbTileT<T, 4>(arow, bt.data(), a_cols, pitch, col, crow.data());
     }
-    for (; j < b_rows; ++j) {
-      const float* brow = b + static_cast<int64_t>(j) * a_cols;
-      double acc = 0.0;
-      for (int32_t k = 0; k < a_cols; ++k) {
-        acc += static_cast<double>(arow[k]) * brow[k];
-      }
-      crow[j] = static_cast<float>(acc);
+    switch ((pitch - col) / W) {
+      case 3: GemmTbTileT<T, 3>(arow, bt.data(), a_cols, pitch, col, crow.data()); break;
+      case 2: GemmTbTileT<T, 2>(arow, bt.data(), a_cols, pitch, col, crow.data()); break;
+      case 1: GemmTbTileT<T, 1>(arow, bt.data(), a_cols, pitch, col, crow.data()); break;
+      default: break;
     }
+    std::copy(crow.data(), crow.data() + b_rows, c + static_cast<int64_t>(i) * b_rows);
   }
 }
 
 template <typename T>
-void ReluT(float* z, int64_t n) {
+void ReluT(const float* src, float* dst, int64_t n) {
   int64_t i = 0;
   for (; i + T::kWidth <= n; i += T::kWidth) {
-    T::StoreF(z + i, T::ReluF(T::LoadF(z + i)));
+    T::StoreF(dst + i, T::ReluF(T::LoadF(src + i)));
   }
-  for (; i < n; ++i) z[i] = z[i] < 0.0f ? 0.0f : z[i];
+  for (; i < n; ++i) dst[i] = src[i] < 0.0f ? 0.0f : src[i];
 }
 
 template <typename T>

@@ -28,6 +28,7 @@ struct NeonTraits {
   static VF LoadF(const float* p) { return vld1q_f32(p); }
   static void StoreF(float* p, VF v) { vst1q_f32(p, v); }
   static VF BroadcastF(float s) { return vdupq_n_f32(s); }
+  static VD LoadD(const double* p) { return {vld1q_f64(p), vld1q_f64(p + 2)}; }
   static VD BroadcastD(double s) { return {vdupq_n_f64(s), vdupq_n_f64(s)}; }
   static VD ZeroD() { return {vdupq_n_f64(0.0), vdupq_n_f64(0.0)}; }
   static VF AddF(VF a, VF b) { return vaddq_f32(a, b); }
@@ -43,6 +44,12 @@ struct NeonTraits {
     const uint32x4_t gt0 = vcgtq_f32(gate, vdupq_n_f32(0.0f));
     return vreinterpretq_f32_u32(vandq_u32(gt0, vreinterpretq_u32_f32(x)));
   }
+  // Clears x where gate == 0 (either sign); a NaN gate compares unequal and
+  // keeps x, like the scalar `gate != 0`.
+  static VF NonzeroAndF(VF gate, VF x) {
+    const uint32x4_t eq0 = vceqq_f32(gate, vdupq_n_f32(0.0f));
+    return vreinterpretq_f32_u32(vbicq_u32(vreinterpretq_u32_f32(x), eq0));
+  }
   static VD AddD(VD a, VD b) { return {vaddq_f64(a.lo, b.lo), vaddq_f64(a.hi, b.hi)}; }
   static VD MulD(VD a, VD b) { return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)}; }
   static VD DivD(VD a, VD b) { return {vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi)}; }
@@ -52,13 +59,6 @@ struct NeonTraits {
   }
   static VF NarrowDToF(VD v) {
     return vcombine_f32(vcvt_f32_f64(v.lo), vcvt_f32_f64(v.hi));
-  }
-  static VD GatherFAsD(const float* p, int64_t stride) {
-    float64x2_t lo = vdupq_n_f64(static_cast<double>(p[0]));
-    lo = vsetq_lane_f64(static_cast<double>(p[stride]), lo, 1);
-    float64x2_t hi = vdupq_n_f64(static_cast<double>(p[2 * stride]));
-    hi = vsetq_lane_f64(static_cast<double>(p[3 * stride]), hi, 1);
-    return {lo, hi};
   }
 };
 

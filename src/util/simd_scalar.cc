@@ -21,6 +21,7 @@ struct ScalarTraits {
   static VF LoadF(const float* p) { return *p; }
   static void StoreF(float* p, VF v) { *p = v; }
   static VF BroadcastF(float s) { return s; }
+  static VD LoadD(const double* p) { return *p; }
   static VD BroadcastD(double s) { return s; }
   static VD ZeroD() { return 0.0; }
   static VF AddF(VF a, VF b) { return a + b; }
@@ -28,16 +29,13 @@ struct ScalarTraits {
   static VF MulF(VF a, VF b) { return a * b; }
   static VF ReluF(VF v) { return v < 0.0f ? 0.0f : v; }
   static VF Gt0AndF(VF gate, VF x) { return gate > 0.0f ? x : 0.0f; }
+  static VF NonzeroAndF(VF gate, VF x) { return gate != 0.0f ? x : 0.0f; }
   static VD AddD(VD a, VD b) { return a + b; }
   static VD MulD(VD a, VD b) { return a * b; }
   static VD DivD(VD a, VD b) { return a / b; }
   static VD SqrtD(VD v) { return std::sqrt(v); }
   static VD WidenFToD(VF v) { return static_cast<double>(v); }
   static VF NarrowDToF(VD v) { return static_cast<float>(v); }
-  static VD GatherFAsD(const float* p, int64_t stride) {
-    (void)stride;
-    return static_cast<double>(*p);
-  }
 };
 
 }  // namespace

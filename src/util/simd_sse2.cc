@@ -26,6 +26,7 @@ struct Sse2Traits {
   static VF LoadF(const float* p) { return _mm_loadu_ps(p); }
   static void StoreF(float* p, VF v) { _mm_storeu_ps(p, v); }
   static VF BroadcastF(float s) { return _mm_set1_ps(s); }
+  static VD LoadD(const double* p) { return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2)}; }
   static VD BroadcastD(double s) { return {_mm_set1_pd(s), _mm_set1_pd(s)}; }
   static VD ZeroD() { return {_mm_setzero_pd(), _mm_setzero_pd()}; }
   static VF AddF(VF a, VF b) { return _mm_add_ps(a, b); }
@@ -38,6 +39,10 @@ struct Sse2Traits {
   }
   static VF Gt0AndF(VF gate, VF x) {
     return _mm_and_ps(_mm_cmpgt_ps(gate, _mm_setzero_ps()), x);
+  }
+  // cmpneq is unordered: a NaN gate keeps x, like the scalar `gate != 0`.
+  static VF NonzeroAndF(VF gate, VF x) {
+    return _mm_and_ps(_mm_cmpneq_ps(gate, _mm_setzero_ps()), x);
   }
   static VD AddD(VD a, VD b) {
     return {_mm_add_pd(a.lo, b.lo), _mm_add_pd(a.hi, b.hi)};
@@ -54,11 +59,6 @@ struct Sse2Traits {
   }
   static VF NarrowDToF(VD v) {
     return _mm_movelh_ps(_mm_cvtpd_ps(v.lo), _mm_cvtpd_ps(v.hi));
-  }
-  static VD GatherFAsD(const float* p, int64_t stride) {
-    return {_mm_set_pd(static_cast<double>(p[stride]), static_cast<double>(p[0])),
-            _mm_set_pd(static_cast<double>(p[3 * stride]),
-                       static_cast<double>(p[2 * stride]))};
   }
 };
 

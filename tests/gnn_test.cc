@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <future>
+#include <vector>
 
+#include "exec/thread_pool.h"
 #include "gnn/dense_ops.h"
 #include "gnn/fused.h"
 #include "gnn/gcn.h"
@@ -74,15 +79,14 @@ TEST(DenseOpsTest, ReluAndGrad) {
   m.At(0, 1) = 2;
   m.At(0, 2) = 0;
   m.At(0, 3) = -0.5;
-  DenseMatrix pre = m;
   KernelProfile prof;
-  MeteredReluInPlace(&m, Rtx3090(), &prof);
-  EXPECT_FLOAT_EQ(m.At(0, 0), 0);
-  EXPECT_FLOAT_EQ(m.At(0, 1), 2);
+  const DenseMatrix r = MeteredRelu(m, Rtx3090(), &prof);
+  EXPECT_FLOAT_EQ(r.At(0, 0), 0);
+  EXPECT_FLOAT_EQ(r.At(0, 1), 2);
   EXPECT_EQ(prof.launches, 1);
 
   DenseMatrix gout(1, 4, 1.0f);
-  DenseMatrix gin = MeteredReluGrad(gout, pre, Rtx3090(), &prof);
+  DenseMatrix gin = MeteredReluGrad(gout, m, Rtx3090(), &prof);
   EXPECT_FLOAT_EQ(gin.At(0, 0), 0);
   EXPECT_FLOAT_EQ(gin.At(0, 1), 1);
   EXPECT_FLOAT_EQ(gin.At(0, 2), 0);  // relu'(0) = 0
@@ -98,6 +102,48 @@ TEST(DenseOpsTest, MeteredGemmMatchesReferenceAndMeters) {
   EXPECT_GT(prof.time_ns, 0);
   EXPECT_GT(prof.mma_ops, 0);
   EXPECT_EQ(prof.launches, 1);
+}
+
+bool SameBits(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(float)) ==
+             0;
+}
+
+TEST(DenseOpsTest, MeteredGemmsBitIdenticalToSerialReferenceOnOneAndAllThreads) {
+  // Shapes of a GCN layer, big enough that every variant splits into
+  // several ParallelFor chunks; A is about half zeros, as after a ReLU.
+  Pcg32 rng(29);
+  DenseMatrix h = GenerateDense(1000, 64, &rng);
+  for (float& v : h.mutable_data()) v = v < 0.0f ? 0.0f : v;
+  const DenseMatrix w = GenerateDense(64, 22, &rng);
+  const DenseMatrix du = GenerateDense(1000, 22, &rng);
+  const DenseMatrix wt = GenerateDense(40, 22, &rng);
+  const std::vector<DenseMatrix> want = {ReferenceGemm(h, w), ReferenceGemmTransA(h, du),
+                                         ReferenceGemmTransB(du, wt)};
+  const auto metered = [&] {
+    return std::vector<DenseMatrix>{
+        MeteredGemm(h, w, Rtx3090(), DataType::kFp32, nullptr),
+        MeteredGemmTransA(h, du, Rtx3090(), DataType::kFp32, nullptr),
+        MeteredGemmTransB(du, wt, Rtx3090(), DataType::kFp32, nullptr)};
+  };
+  // On a pool worker ParallelFor runs inline: the one-thread schedule.
+  std::vector<DenseMatrix> one_thread;
+  {
+    ThreadPool pool(1);
+    std::promise<void> done;
+    pool.Submit([&] {
+      one_thread = metered();
+      done.set_value();
+    });
+    done.get_future().wait();
+  }
+  // From this thread: every hardware thread.
+  const std::vector<DenseMatrix> all_threads = metered();
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(SameBits(want[i], one_thread[i])) << "variant " << i;
+    EXPECT_TRUE(SameBits(want[i], all_threads[i])) << "variant " << i;
+  }
 }
 
 TEST(DenseOpsTest, PredictionAccuracy) {
@@ -296,6 +342,55 @@ TEST(GinTest, FusionHelpsForwardMoreThanBackward) {
   const double bwd_saving = s2.AvgBackwardMs() - s1.AvgBackwardMs();
   EXPECT_GT(fwd_saving, 0.0);
   EXPECT_NEAR(bwd_saving, 0.0, 1e-9);
+}
+
+uint64_t DoubleBits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Losses of the first epochs as IEEE-754 bit patterns, recorded with the
+// untiled per-nonzero GEMM kernels. Every dense GEMM variant, softmax, ReLU,
+// dropout and the optimizer step feed them, so an operation-sequence change
+// anywhere on the training path moves at least one bit.
+void ExpectLossBits(const TrainStats& stats, const std::vector<uint64_t>& golden) {
+  ASSERT_EQ(stats.epochs.size(), golden.size());
+  for (size_t e = 0; e < golden.size(); ++e) {
+    EXPECT_EQ(DoubleBits(stats.epochs[e].loss), golden[e])
+        << "epoch " << e << ": loss " << stats.epochs[e].loss << " has bits 0x"
+        << std::hex << DoubleBits(stats.epochs[e].loss);
+  }
+}
+
+TEST(GoldenLossTest, GcnEpochLossesMatchRecordedBits) {
+  // Three layers of width 22 (a partial vector at every lane width), 400
+  // rows (more than one k-block of the A^T B kernel), dropout and momentum.
+  Graph g = TestGraph(400, 113);
+  GnnConfig cfg;
+  cfg.hidden_dim = 22;
+  cfg.num_layers = 3;
+  cfg.dropout = 0.2;
+  cfg.optimizer = OptimizerKind::kMomentum;
+  cfg.learning_rate = 0.1;
+  cfg.seed = 7;
+  const TrainStats stats = TrainGnn(g, GnnModelKind::kGcn, "hcspmm", cfg, Rtx3090(), 5,
+                                    DataType::kFp32);
+  EXPECT_EQ(stats.memory_bytes, 228191);  // activations counted as the seed did
+  ExpectLossBits(stats, {0x3ff652d0d082c341, 0x3ff5f93649671eec, 0x3ff5af138fa586e7,
+                         0x3ff51cc18b4cda48, 0x3ff452c2d5d78188});
+}
+
+TEST(GoldenLossTest, GinEpochLossesMatchRecordedBits) {
+  Graph g = TestGraph(400, 127);
+  GnnConfig cfg;
+  cfg.hidden_dim = 22;
+  cfg.learning_rate = 0.005;
+  cfg.seed = 9;
+  const TrainStats stats = TrainGnn(g, GnnModelKind::kGin, "hcspmm", cfg, Rtx3090(), 5);
+  EXPECT_EQ(stats.memory_bytes, 319575);
+  ExpectLossBits(stats, {0x401d13636d6c1689, 0x400a30e86b0f953c, 0x3ff58d06bf44e2a4,
+                         0x3fed46abfbaf9c7f, 0x3fe9211d016b1885});
 }
 
 TEST(TrainerTest, StatsAggregation) {

@@ -1,6 +1,6 @@
 // SIMD execution layer: lane-width/tail handling, bitwise identity of the
-// SpMM row kernel against a naive in-test oracle at every level and of every
-// dispatched kernel against the forced-scalar reference table (including
+// SpMM and GEMM row kernels against naive in-test oracles at every level and
+// of every dispatched kernel against the forced-scalar reference table (including
 // full GCN/GIN training and the sharded path), DenseMatrix alignment, and
 // the HCSPMM_FORCE_SCALAR environment round-trip.
 #include <gtest/gtest.h>
@@ -185,42 +185,131 @@ TEST(SimdKernelTest, SpmmMatchesNaiveOracleAtEveryLevelAndTile) {
   }
 }
 
-TEST(SimdKernelTest, GemmVariantsBitIdenticalAcrossLevelsAndTails) {
-  const simd::SimdKernels& scalar = simd::KernelsFor(SimdLevel::kScalar);
-  const simd::SimdKernels& best = simd::Active();
-  for (int32_t n : kDimSweep) {
+// The three GEMM definitions as naive triple loops. gemm_rows and
+// gemm_ta_rows: each output starts at +0 and takes one mul and one add per
+// nonzero A element, k ascending; a zero A element (either sign) is skipped
+// even when its B entry is Inf or NaN. gemm_tb_rows: a double dot product
+// over every k, rounded to float once.
+void NaiveGemm(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c) {
+  for (int32_t i = 0; i < a.rows(); ++i) {
+    for (int32_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (int32_t k = 0; k < a.cols(); ++k) {
+        if (a.At(i, k) == 0.0f) continue;
+        const float p = a.At(i, k) * b.At(k, j);
+        acc = acc + p;
+      }
+      c->At(i, j) = acc;
+    }
+  }
+}
+
+void NaiveGemmTransA(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c) {
+  for (int32_t i = 0; i < a.cols(); ++i) {
+    for (int32_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (int32_t k = 0; k < a.rows(); ++k) {
+        if (a.At(k, i) == 0.0f) continue;
+        const float p = a.At(k, i) * b.At(k, j);
+        acc = acc + p;
+      }
+      c->At(i, j) = acc;
+    }
+  }
+}
+
+void NaiveGemmTransB(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c) {
+  for (int32_t i = 0; i < a.rows(); ++i) {
+    for (int32_t j = 0; j < b.rows(); ++j) {
+      double acc = 0.0;
+      for (int32_t k = 0; k < a.cols(); ++k) {
+        acc += static_cast<double>(a.At(i, k)) * static_cast<double>(b.At(j, k));
+      }
+      c->At(i, j) = static_cast<float>(acc);
+    }
+  }
+}
+
+// Every output starts as NaN, so a kernel that accumulates into C instead
+// of overwriting it cannot pass.
+DenseMatrix Garbage(int32_t rows, int32_t cols) {
+  return DenseMatrix(rows, cols, std::nanf(""));
+}
+
+TEST(SimdKernelTest, GemmVariantsMatchNaiveOracleAtEveryLevelAndTile) {
+  // 300 rows of A: more than one k-block of the A^T * B kernel.
+  const int32_t m = 300, k = 29;
+  std::vector<int32_t> widths = kDimSweep;
+  widths.push_back(22);  // two AVX2 vectors plus a tail: the GCN class count
+  for (int32_t n : widths) {
     Pcg32 rng(17 + n);
-    const int32_t m = 33, k = 29;
+    // About half of A is zero, as after a ReLU, with -0 among the zeros.
     DenseMatrix a = GenerateDense(m, k, &rng);
+    for (float& v : a.mutable_data()) {
+      if (v < 0.0f) v = v < -0.5f ? -0.0f : 0.0f;
+    }
+    // Zero A entries facing Inf and NaN in B must contribute nothing: B row
+    // 3 (and row 7 of the A^T B operand) holds them, and A column 3 (row 7)
+    // is +0 or -0 except at every tenth index, whose outputs turn Inf/NaN.
     DenseMatrix b = GenerateDense(k, n, &rng);
-    // A few exact zeros so the skip-zero branch is exercised.
-    a.At(0, 0) = 0.0f;
-    a.At(5, 3) = 0.0f;
-
-    DenseMatrix c_scalar(m, n), c_simd(m, n);
-    scalar.gemm_rows(a.RowData(0), b.RowData(0), c_scalar.MutableRowData(0), k, n,
-                     0, m);
-    best.gemm_rows(a.RowData(0), b.RowData(0), c_simd.MutableRowData(0), k, n, 0,
-                   m);
-    ExpectBitwiseEqual(c_scalar, c_simd, "gemm");
-
-    // A^T * B: output is (k x n) from A (m x k), B (m x n).
     DenseMatrix b2 = GenerateDense(m, n, &rng);
-    DenseMatrix ta_scalar(k, n), ta_simd(k, n);
-    scalar.gemm_ta_rows(a.RowData(0), b2.RowData(0), ta_scalar.MutableRowData(0),
-                        m, k, n, 0, k);
-    best.gemm_ta_rows(a.RowData(0), b2.RowData(0), ta_simd.MutableRowData(0), m,
-                      k, n, 0, k);
-    ExpectBitwiseEqual(ta_scalar, ta_simd, "gemm_ta");
-
-    // A * B^T: A (m x k), B (n x k) -> C (m x n); n sweeps the lane widths.
+    for (int32_t j = 0; j < n; ++j) {
+      b.At(3, j) = j % 2 == 0 ? INFINITY : std::nanf("");
+      b2.At(7, j) = j % 2 == 0 ? -INFINITY : std::nanf("");
+    }
+    for (int32_t i = 0; i < m; ++i) {
+      a.At(i, 3) = i % 10 == 1 ? 0.75f : (i % 2 == 0 ? 0.0f : -0.0f);
+    }
+    for (int32_t i = 0; i < k; ++i) {
+      a.At(7, i) = i % 10 == 1 ? -1.25f : (i % 2 == 0 ? -0.0f : 0.0f);
+    }
+    // A * B^T rows where the summation order shows through the double
+    // accumulator: 2^60 - 2^60 + 1 is 1 in k order and 0 in reverse.
     DenseMatrix b3 = GenerateDense(n, k, &rng);
-    DenseMatrix tb_scalar(m, n), tb_simd(m, n);
-    scalar.gemm_tb_rows(a.RowData(0), b3.RowData(0), tb_scalar.MutableRowData(0),
-                        k, n, 0, m);
-    best.gemm_tb_rows(a.RowData(0), b3.RowData(0), tb_simd.MutableRowData(0), k,
-                      n, 0, m);
-    ExpectBitwiseEqual(tb_scalar, tb_simd, "gemm_tb");
+    for (int32_t j = 0; j < n; ++j) {
+      b3.At(j, 0) = 0x1p30f;
+      b3.At(j, 1) = 0x1p30f;
+      b3.At(j, 2) = 1.0f;
+    }
+    for (int32_t i = 3; i < m; i += 10) {
+      a.At(i, 0) = 0x1p30f;
+      a.At(i, 1) = -0x1p30f;
+      a.At(i, 2) = 1.0f;
+    }
+
+    DenseMatrix want(m, n), want_ta(k, n), want_tb(m, n);
+    NaiveGemm(a, b, &want);
+    NaiveGemmTransA(a, b2, &want_ta);
+    NaiveGemmTransB(a, b3, &want_tb);
+    for (SimdLevel level : kAllLevels) {
+      const simd::SimdKernels& kt = simd::KernelsFor(level);
+      const char* name = SimdLevelName(kt.level);
+      DenseMatrix c = Garbage(m, n), ta = Garbage(k, n), tb = Garbage(m, n);
+      kt.gemm_rows(a.RowData(0), b.RowData(0), c.MutableRowData(0), k, n, 0, m);
+      kt.gemm_ta_rows(a.RowData(0), b2.RowData(0), ta.MutableRowData(0), m, k, n, 0, k);
+      kt.gemm_tb_rows(a.RowData(0), b3.RowData(0), tb.MutableRowData(0), k, n, 0, m);
+      ExpectBitwiseEqual(want, c, name);
+      ExpectBitwiseEqual(want_ta, ta, name);
+      ExpectBitwiseEqual(want_tb, tb, name);
+
+      // Split ranges, none a multiple of a tile's row count.
+      c = Garbage(m, n);
+      ta = Garbage(k, n);
+      tb = Garbage(m, n);
+      for (int32_t begin = 0; begin < m; begin += 37) {
+        const int32_t end = std::min(m, begin + 37);
+        kt.gemm_rows(a.RowData(0), b.RowData(0), c.MutableRowData(0), k, n, begin, end);
+        kt.gemm_tb_rows(a.RowData(0), b3.RowData(0), tb.MutableRowData(0), k, n, begin,
+                        end);
+      }
+      for (int32_t begin = 0; begin < k; begin += 5) {
+        kt.gemm_ta_rows(a.RowData(0), b2.RowData(0), ta.MutableRowData(0), m, k, n, begin,
+                        std::min(k, begin + 5));
+      }
+      ExpectBitwiseEqual(want, c, name);
+      ExpectBitwiseEqual(want_ta, ta, name);
+      ExpectBitwiseEqual(want_tb, tb, name);
+    }
   }
 }
 
@@ -229,10 +318,12 @@ TEST(SimdKernelTest, ElementwiseBitIdenticalIncludingEdgeValues) {
   const simd::SimdKernels& best = simd::Active();
   for (int64_t n : {1, 7, 8, 9, 64, 100, 1003}) {
     std::vector<float> z1 = RandomVec(n, 5 + n, /*with_edge_values=*/true);
-    std::vector<float> z2 = z1;
-    scalar.relu(z1.data(), n);
-    best.relu(z2.data(), n);
+    std::vector<float> z2 = z1, out(n);
+    best.relu(z1.data(), out.data(), n);
+    scalar.relu(z1.data(), z1.data(), n);
+    best.relu(z2.data(), z2.data(), n);
     ExpectBitwiseEqual(z1.data(), z2.data(), n, "relu");
+    ExpectBitwiseEqual(z1.data(), out.data(), n, "relu out of place");
 
     std::vector<float> go = RandomVec(n, 7 + n, true);
     std::vector<float> pa = RandomVec(n, 11 + n, true);
