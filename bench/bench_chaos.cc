@@ -6,8 +6,8 @@
 //   faulted         — plain backend, 5% injected kUnavailable dispatches and
 //                     2% latency spikes, masked by transparent in-session
 //                     retry (8 attempts, exponential backoff + seeded jitter)
-//   faulted_sharded — same schedule against a 2-shard backend, where retry
-//                     re-dispatches only the failed shard's row slice
+//   faulted_sharded — same schedule against 2-shard sessions, where retry
+//                     re-dispatches only the failed shard's window range
 //
 // Every response is compared bitwise against a fault-free direct multiply —
 // retries must reproduce the exact fp32 bits. The injected-fault count and
@@ -84,7 +84,9 @@ ModeResult RunMode(Runtime* rt, const ModeSpec& spec, const GraphLoad& load) {
   ServerOptions options;
   options.pool.max_sessions = 4;
   options.pool.session = SessionOptions().set_dtype(DataType::kFp32);
-  options.pool.num_shards = spec.shards;
+  ShardingOptions sharding;
+  sharding.num_shards = spec.shards;
+  options.pool.session.set_sharding(sharding);
   options.max_batch = 1;
   options.batch_window_us = 0;
   options.default_tenant.max_queue = 4096;

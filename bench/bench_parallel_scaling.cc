@@ -11,8 +11,8 @@
 #include "bench/bench_util.h"
 #include "exec/plan_cache.h"
 #include "exec/thread_pool.h"
-#include "gnn/spmm_engine.h"
 #include "graph/generators.h"
+#include "runtime/runtime.h"
 #include "sparse/convert.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -27,10 +27,18 @@ constexpr int64_t kEdges = 1000000;
 constexpr int32_t kDim = 64;
 constexpr int32_t kIters = 3;
 
-double TimedMultiplyMs(const SpmmEngine& engine, const DenseMatrix& x, DenseMatrix* z) {
+// An fp32 hcspmm session on the default runtime, ready to multiply.
+std::shared_ptr<Session> OpenReady(const CsrMatrix& abar, int num_threads) {
+  std::shared_ptr<Session> session = Runtime::Default()->OpenSession(
+      &abar, SessionOptions().set_dtype(DataType::kFp32).set_num_threads(num_threads));
+  HCSPMM_CHECK_OK(session->WaitReady());
+  return session;
+}
+
+double TimedMultiplyMs(const Session& session, const DenseMatrix& x, DenseMatrix* z) {
   WallTimer timer;
   for (int32_t i = 0; i < kIters; ++i) {
-    Status st = engine.Multiply(x, z, nullptr);
+    Status st = session.Multiply(x, z, nullptr);
     HCSPMM_CHECK_OK(st);
   }
   return timer.ElapsedMs() / kIters;
@@ -38,10 +46,10 @@ double TimedMultiplyMs(const SpmmEngine& engine, const DenseMatrix& x, DenseMatr
 
 // Metered host traffic of one multiply (indices + values + gathered
 // features + output), for the bytes/nnz and effective-bandwidth fields.
-int64_t HostBytesPerMultiply(const SpmmEngine& engine, const DenseMatrix& x) {
+int64_t HostBytesPerMultiply(const Session& session, const DenseMatrix& x) {
   DenseMatrix z;
   KernelProfile profile;
-  HCSPMM_CHECK_OK(engine.Multiply(x, &z, &profile));
+  HCSPMM_CHECK_OK(session.Multiply(x, &z, &profile));
   return profile.host_bytes;
 }
 
@@ -62,17 +70,15 @@ int main(int argc, char** argv) {
   // fp32 keeps the Tensor path unrounded so every thread count must produce
   // bit-identical output.
   PlanCache::Global()->Clear();
-  SpmmEngine serial_engine("hcspmm", &abar, Rtx3090(), DataType::kFp32,
-                           /*num_threads=*/1);
-  HCSPMM_CHECK_OK(serial_engine.status());
+  const std::shared_ptr<Session> serial = OpenReady(abar, /*num_threads=*/1);
   std::printf("  plan build (simulated preprocess): %.3f ms\n",
-              serial_engine.PreprocessNs() / 1e6);
+              serial->PreprocessNs() / 1e6);
 
   DenseMatrix z_serial;
-  const double serial_ms = TimedMultiplyMs(serial_engine, x, &z_serial);
+  const double serial_ms = TimedMultiplyMs(*serial, x, &z_serial);
   // Host traffic is thread-count-invariant (same plan, same matrices), so
   // meter it once; only the effective GB/s varies with the wall clock.
-  const int64_t host_bytes = HostBytesPerMultiply(serial_engine, x);
+  const int64_t host_bytes = HostBytesPerMultiply(*serial, x);
   const double bytes_per_nnz = static_cast<double>(host_bytes) / abar.nnz();
 
   std::vector<std::vector<std::string>> rows;
@@ -87,11 +93,10 @@ int main(int argc, char** argv) {
                                               host_bytes / (serial_ms * 1e6))}));
   bool all_identical = true;
   for (int threads : {2, 4, 8}) {
-    SpmmEngine engine("hcspmm", &abar, Rtx3090(), DataType::kFp32, threads);
-    HCSPMM_CHECK_OK(engine.status());
-    HCSPMM_CHECK(engine.plan_from_cache()) << "PlanCache should have the plan";
+    const std::shared_ptr<Session> session = OpenReady(abar, threads);
+    HCSPMM_CHECK(session->plan_from_cache()) << "PlanCache should have the plan";
     DenseMatrix z;
-    const double ms = TimedMultiplyMs(engine, x, &z);
+    const double ms = TimedMultiplyMs(*session, x, &z);
     const double max_diff = z.MaxAbsDifference(z_serial);
     all_identical = all_identical && max_diff == 0.0;
     char diff_buf[32];
@@ -112,32 +117,31 @@ int main(int argc, char** argv) {
 
   PrintTitle("MultiplyBatch: 8 concurrent feature matrices");
   {
-    SpmmEngine engine("hcspmm", &abar, Rtx3090(), DataType::kFp32, /*num_threads=*/0);
-    HCSPMM_CHECK_OK(engine.status());
+    const std::shared_ptr<Session> session = OpenReady(abar, /*num_threads=*/0);
     std::vector<DenseMatrix> inputs(8, DenseMatrix(abar.cols(), kDim, 0.5f));
     std::vector<const DenseMatrix*> xs;
     for (const DenseMatrix& in : inputs) xs.push_back(&in);
     std::vector<DenseMatrix> zs;
     WallTimer timer;
-    HCSPMM_CHECK_OK(engine.MultiplyBatch(xs, &zs, nullptr));
+    HCSPMM_CHECK_OK(session->MultiplyBatch(xs, &zs, nullptr));
     const double batch_ms = timer.ElapsedMs();
     std::printf("  batch of %zu: %.2f ms total, %.2f ms/item (serial item cost %.2f ms)\n",
                 xs.size(), batch_ms, batch_ms / xs.size(), serial_ms);
   }
 
-  PrintTitle("PlanCache: repeated engine construction (real host time)");
+  PrintTitle("PlanCache: repeated session open (real host time)");
   {
     PlanCache::Global()->Clear();
     WallTimer cold_timer;
-    SpmmEngine cold("hcspmm", &abar, Rtx3090(), DataType::kFp32);
+    const std::shared_ptr<Session> cold = OpenReady(abar, /*num_threads=*/0);
     const double cold_ms = cold_timer.ElapsedMs();
     WallTimer warm_timer;
-    SpmmEngine warm("hcspmm", &abar, Rtx3090(), DataType::kFp32);
+    const std::shared_ptr<Session> warm = OpenReady(abar, /*num_threads=*/0);
     const double warm_ms = warm_timer.ElapsedMs();
     std::printf(
         "  cold construct: %.2f ms (simulated preprocess %.3f ms), warm: %.2f ms "
         "(cache hit, simulated preprocess %.3f ms)\n",
-        cold_ms, cold.PreprocessNs() / 1e6, warm_ms, warm.PreprocessNs() / 1e6);
+        cold_ms, cold->PreprocessNs() / 1e6, warm_ms, warm->PreprocessNs() / 1e6);
   }
 
   if (!json_path.empty()) {

@@ -1,12 +1,14 @@
-// Multi-graph sharding sweep: wall-clock of the merge-free row-disjoint
-// ShardedSession vs. shard count K on an RMAT graph — sync Multiply, async
-// MultiplyAsync across two streams, summed plan-build time, and the
-// per-shard PlanCache amortization on repeat construction. fp32, so every K
-// must be bit-identical to K=1; the process exits non-zero on any mismatch
-// (CI uses that, plus the `--json out.json` artifact, as a smoke gate).
+// Sharding sweep: wall-clock of a Session whose plan is split into K
+// contiguous window ranges (SessionOptions::set_sharding) vs. K on an RMAT
+// graph — sync Multiply, async MultiplyAsync across two streams, plan-build
+// time, and the PlanCache hit on repeat construction (one plan serves every
+// K). fp32, so every K must be bit-identical to K=1; the process exits
+// non-zero on any mismatch (CI uses that, plus the `--json out.json`
+// artifact, as a smoke gate).
 // Like bench_parallel_scaling this measures host wall-clock: overlap is
 // bounded by physical cores, so expect ~flat speedups on 1-core containers
 // while the correctness columns stay meaningful.
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -15,7 +17,6 @@
 #include "exec/thread_pool.h"
 #include "graph/generators.h"
 #include "runtime/runtime.h"
-#include "shard/sharded_session.h"
 #include "sparse/convert.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -30,7 +31,7 @@ constexpr int64_t kEdges = 1000000;
 constexpr int32_t kDim = 64;
 constexpr int32_t kIters = 3;
 
-double TimedMultiplyMs(ShardedSession* session, const DenseMatrix& x, DenseMatrix* z) {
+double TimedMultiplyMs(Session* session, const DenseMatrix& x, DenseMatrix* z) {
   WallTimer timer;
   for (int32_t i = 0; i < kIters; ++i) {
     HCSPMM_CHECK_OK(session->Multiply(x, z, nullptr));
@@ -38,9 +39,9 @@ double TimedMultiplyMs(ShardedSession* session, const DenseMatrix& x, DenseMatri
   return timer.ElapsedMs() / kIters;
 }
 
-double TimedAsyncMs(ShardedSession* session, const DenseMatrix& x, DenseMatrix* z) {
+double TimedAsyncMs(Session* session, const DenseMatrix& x, DenseMatrix* z) {
   // Two in-flight multiplies on distinct streams per iteration: the shard
-  // fan-out of one overlaps the join of the other.
+  // ranges of one overlap those of the other.
   WallTimer timer;
   for (int32_t i = 0; i < kIters; ++i) {
     Future<DenseMatrix> f0 = session->MultiplyAsync(x, nullptr, /*stream=*/0);
@@ -81,9 +82,9 @@ int main(int argc, char** argv) {
   for (int k : {1, 2, 4, 8}) {
     ShardingOptions sharding;
     sharding.num_shards = k;
+    const SessionOptions sharded_options = SessionOptions(options).set_sharding(sharding);
     WallTimer open_timer;
-    std::shared_ptr<ShardedSession> session =
-        ShardedSession::Open(rt, abar, options, sharding);
+    std::shared_ptr<Session> session = rt->OpenSession(&abar, sharded_options);
     HCSPMM_CHECK_OK(session->WaitReady());
     const double open_ms = open_timer.ElapsedMs();
 
@@ -100,18 +101,16 @@ int main(int argc, char** argv) {
     const bool identical = max_diff == 0.0;
     all_identical = all_identical && identical;
 
-    // Repeat construction: every shard's plan must come straight out of the
-    // PlanCache under its own fingerprint.
+    // Repeat construction: the graph's one plan must come straight out of
+    // the PlanCache, whatever K.
     WallTimer reopen_timer;
-    std::shared_ptr<ShardedSession> reopened =
-        ShardedSession::Open(rt, abar, options, sharding);
+    std::shared_ptr<Session> reopened = rt->OpenSession(&abar, sharded_options);
     HCSPMM_CHECK_OK(reopened->WaitReady());
     const double reopen_ms = reopen_timer.ElapsedMs();
-    bool all_cached = true;
-    for (int i = 0; i < reopened->num_shards(); ++i) {
-      all_cached = all_cached && reopened->plan_from_cache(i);
-    }
-    HCSPMM_CHECK(all_cached) << "per-shard plans should hit the PlanCache";
+    const bool all_cached = reopened->plan_from_cache();
+    HCSPMM_CHECK(all_cached) << "the plan should hit the PlanCache";
+    const int num_shards =
+        std::max<int>(1, static_cast<int>(session->CurrentVersion()->shards.size()));
 
     char diff_buf[32];
     std::snprintf(diff_buf, sizeof(diff_buf), "%.1e", max_diff);
@@ -122,7 +121,7 @@ int main(int argc, char** argv) {
                     FormatDouble(open_ms, 2), FormatDouble(reopen_ms, 2),
                     identical ? "yes" : "NO", diff_buf});
     json_points.push_back(JsonObject(
-        {JsonField("num_shards", session->num_shards()),
+        {JsonField("num_shards", num_shards),
          JsonField("sync_ms", sync_ms), JsonField("async2_ms", async_ms),
          JsonField("speedup_vs_k1", baseline_ms / sync_ms),
          JsonField("preprocess_ms", session->PreprocessNs() / 1e6),
@@ -135,7 +134,7 @@ int main(int argc, char** argv) {
               "reopen ms", "bit-identical", "max|diff|"},
              rows);
   PrintNote("speedup is bounded by physical cores; expect ~flat on 1-core machines");
-  PrintNote("reopen hits the PlanCache for every shard, so it excludes plan builds");
+  PrintNote("reopen hits the PlanCache (one plan for every K), so it excludes plan builds");
 
   if (!json_path.empty()) {
     const std::string report = JsonObject(

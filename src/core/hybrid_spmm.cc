@@ -24,6 +24,13 @@ Status HcSpmm::RunWithPlan(const HybridPlan& plan, const CsrMatrix& a,
   if (a.cols() != x.rows()) {
     return Status::InvalidArgument("SpMM shape mismatch: A.cols != X.rows");
   }
+  HCSPMM_RETURN_NOT_OK(CheckPlan(plan, a));
+  HCSPMM_RETURN_NOT_OK(internal::ShapeOutput(a.rows(), x, z));
+  return RunWindows(plan, a, x, dev, opts, 0,
+                    static_cast<int64_t>(plan.windows.windows.size()), z, profile);
+}
+
+Status HcSpmm::CheckPlan(const HybridPlan& plan, const CsrMatrix& a) {
   // Structural validation instead of pointer identity: a PlanCache hit hands
   // out a plan built from a content-identical matrix object that may since
   // have been destroyed (cached plans carry windows.csr == nullptr). The
@@ -41,7 +48,7 @@ Status HcSpmm::RunWithPlan(const HybridPlan& plan, const CsrMatrix& a,
   // content equality: a matrix with an identical row-nnz profile but
   // different column indices/values still passes and computes with the
   // plan's stale window classification (see the header precondition; the
-  // SpmmEngine/PlanCache path keys plans by full content fingerprint).
+  // Session/PlanCache path keys plans by full content fingerprint).
   int32_t next_row = 0;
   for (const RowWindow& w : ws) {
     // 64-bit sum: the guard itself must not overflow on a corrupt plan.
@@ -73,8 +80,16 @@ Status HcSpmm::RunWithPlan(const HybridPlan& plan, const CsrMatrix& a,
        packed->nnz() != a.nnz())) {
     return Status::InvalidArgument("plan was built for a different matrix");
   }
-  HCSPMM_RETURN_NOT_OK(internal::ShapeOutput(a.rows(), x, z));
+  return Status::OK();
+}
 
+Status HcSpmm::RunWindows(const HybridPlan& plan, const CsrMatrix& a,
+                          const DenseMatrix& x, const DeviceSpec& dev,
+                          const KernelOptions& opts, int64_t window_begin,
+                          int64_t window_end, DenseMatrix* z,
+                          KernelProfile* profile) const {
+  const std::vector<RowWindow>& ws = plan.windows.windows;
+  const PackedCsr* packed = plan.packed.get();
   // Functional execution: the Tensor path rounds operands to the storage
   // type (TF32 by default); the CUDA path computes in full FP32. Windows
   // cover disjoint row ranges (SS IV-A: no merge step), so they dispatch
@@ -89,7 +104,7 @@ Status HcSpmm::RunWithPlan(const HybridPlan& plan, const CsrMatrix& a,
   // still have to be zeroed.
   constexpr int64_t kCancelCheckStride = 64;
   std::atomic<bool> cancelled{false};
-  ParallelFor(0, static_cast<int64_t>(ws.size()), opts.num_threads,
+  ParallelFor(window_begin, window_end, opts.num_threads,
               [&](int64_t begin, int64_t end) {
                 for (int64_t i = begin; i < end; ++i) {
                   if (opts.cancel != nullptr &&
@@ -115,7 +130,7 @@ Status HcSpmm::RunWithPlan(const HybridPlan& plan, const CsrMatrix& a,
   if (profile != nullptr) {
     KernelCostAccumulator acc(name(), dev);
     const int32_t dim = x.cols();
-    for (size_t i = 0; i < ws.size(); ++i) {
+    for (int64_t i = window_begin; i < window_end; ++i) {
       const RowWindow& w = ws[i];
       if (w.nnz == 0) continue;
       const bool on_tensor = plan.assignment[i] == CoreType::kTensorCore;
@@ -132,18 +147,24 @@ Status HcSpmm::RunWithPlan(const HybridPlan& plan, const CsrMatrix& a,
     // index structure + row offsets + values + gathered feature rows +
     // the output write. This is the bytes/nnz the compression gate and the
     // benches' effective-GB/s columns are computed from.
+    const int32_t row_begin = window_begin < window_end ? ws[window_begin].first_row : 0;
+    const int32_t row_end =
+        window_begin < window_end ? ws[window_end - 1].first_row + ws[window_end - 1].num_rows
+                                  : 0;
+    const int64_t rows = row_end - row_begin;
+    const int64_t nnz = a.RowBegin(row_end) - a.RowBegin(row_begin);
     const int64_t index_bytes =
         packed != nullptr
-            ? static_cast<int64_t>(packed->stream().size()) +
-                  static_cast<int64_t>(packed->pack_ptr().size()) * sizeof(uint32_t)
-            : a.nnz() * static_cast<int64_t>(sizeof(int32_t));
+            ? static_cast<int64_t>(packed->pack_ptr()[row_end] -
+                                   packed->pack_ptr()[row_begin]) +
+                  (rows + 1) * static_cast<int64_t>(sizeof(uint32_t))
+            : nnz * static_cast<int64_t>(sizeof(int32_t));
     const int64_t feature_elem_bytes = x.reduced_storage() ? 2 : 4;
-    profile->host_bytes +=
-        index_bytes + static_cast<int64_t>(a.rows() + 1) * sizeof(int64_t) +
-        a.nnz() * static_cast<int64_t>(sizeof(float)) +
-        a.nnz() * static_cast<int64_t>(dim) * feature_elem_bytes +
-        static_cast<int64_t>(a.rows()) * dim * static_cast<int64_t>(sizeof(float));
-    profile->host_nnz += a.nnz();
+    profile->host_bytes += index_bytes + (rows + 1) * static_cast<int64_t>(sizeof(int64_t)) +
+                           nnz * static_cast<int64_t>(sizeof(float)) +
+                           nnz * static_cast<int64_t>(dim) * feature_elem_bytes +
+                           rows * dim * static_cast<int64_t>(sizeof(float));
+    profile->host_nnz += nnz;
   }
   return Status::OK();
 }

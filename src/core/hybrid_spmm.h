@@ -44,6 +44,19 @@ class HcSpmm : public SpmmKernel {
                      const DeviceSpec& dev, const KernelOptions& opts, DenseMatrix* z,
                      KernelProfile* profile) const;
 
+  /// The structural guard RunWithPlan applies (see its precondition).
+  static Status CheckPlan(const HybridPlan& plan, const CsrMatrix& a);
+
+  /// Run windows [window_begin, window_end) of a plan that passed CheckPlan
+  /// against `a`, overwriting the output rows they own in `z` (already
+  /// shaped a.rows() x x.cols(); other rows stay untouched). The range is
+  /// metered as one kernel launch over its own rows and nonzeros, exactly as
+  /// if it were a standalone matrix — RunWithPlan is the full range.
+  Status RunWindows(const HybridPlan& plan, const CsrMatrix& a, const DenseMatrix& x,
+                    const DeviceSpec& dev, const KernelOptions& opts,
+                    int64_t window_begin, int64_t window_end, DenseMatrix* z,
+                    KernelProfile* profile) const;
+
   /// Selector effective on `dev`: the custom one if provided, else the
   /// encoded model for that architecture.
   SelectorModel SelectorFor(const DeviceSpec& dev) const {

@@ -1,7 +1,7 @@
 // Process-wide cache of HC-SpMM HybridPlans. Preprocessing (windowing +
 // condensing + selector classification) is the one-time cost the paper
 // amortizes across a training run (Appendix F, Table XI); the cache extends
-// that amortization across engines and runs: any SpmmEngine bound to a
+// that amortization across sessions and runs: any Session bound to a
 // matrix with identical content on the same device/dtype reuses the plan
 // instead of rebuilding it. Entries are LRU-evicted under a byte budget.
 #pragma once
@@ -85,7 +85,7 @@ class PlanCache {
 
   explicit PlanCache(int64_t byte_budget = kDefaultByteBudget);
 
-  /// Process-wide instance used by the default Runtime (and thus SpmmEngine).
+  /// Process-wide instance used by the default Runtime (and thus TrainGnn).
   /// Its byte budget honors HCSPMM_PLAN_CACHE_BYTES at first use; see
   /// DefaultPlanCacheByteBudget().
   static PlanCache* Global();
@@ -123,8 +123,8 @@ class PlanCache {
   std::unordered_map<PlanCacheKey, std::list<Entry>::iterator, PlanCacheKeyHash> index_;
   // Monotonic counters are atomics (relaxed: they are independent tallies,
   // not synchronization) so stats() stays race-free against concurrent
-  // sessions inserting/looking up — per-shard plan builds made that the
-  // common case, and TSan flags a plain-int read racing the increments.
+  // sessions inserting/looking up — the serving pool makes that the common
+  // case, and TSan flags a plain-int read racing the increments.
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> insertions_{0};

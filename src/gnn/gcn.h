@@ -9,10 +9,30 @@
 #include <vector>
 
 #include "gnn/optimizers.h"
-#include "gnn/spmm_engine.h"
 #include "graph/graph.h"
+#include "runtime/session.h"
 
 namespace hcspmm {
+
+/// Older name of the aggregation handle, kept for callers outside src/.
+using AggregatorRef = Session*;
+
+/// Per-phase simulated time breakdown of a forward or backward pass.
+struct PhaseBreakdown {
+  double agg_ns = 0.0;          ///< Aggregation (SpMM) kernel time
+  double update_ns = 0.0;       ///< Update (GEMM) kernel time
+  double elementwise_ns = 0.0;  ///< activations and their gradients
+  double launch_ns = 0.0;       ///< kernel launch overheads
+
+  double TotalNs() const { return agg_ns + update_ns + elementwise_ns + launch_ns; }
+  double TotalMs() const { return TotalNs() / 1e6; }
+  void Add(const PhaseBreakdown& o) {
+    agg_ns += o.agg_ns;
+    update_ns += o.update_ns;
+    elementwise_ns += o.elementwise_ns;
+    launch_ns += o.launch_ns;
+  }
+};
 
 /// Shared GNN hyperparameters.
 struct GnnConfig {
@@ -30,10 +50,6 @@ struct GnnConfig {
   /// results and metered profiles are bit-identical either way; only
   /// wall-clock changes.
   bool async_pipeline = true;
-  /// Row-disjoint shards of the sparse operator (TrainGnn opens a
-  /// ShardedSession when > 1). Default 1 is the single-Session path; fp32
-  /// results are bit-identical for every shard count.
-  int num_shards = 1;
   /// Store the operator's column indices delta/byte-packed and decode them
   /// in the SIMD SpMM kernels (SessionOptions::set_compress_indices).
   /// Lossless — training results are bit-identical; only bytes/nnz drops.
@@ -52,15 +68,10 @@ struct EpochResult {
 /// \brief Multi-layer GCN with full forward/backward and SGD.
 class GcnModel {
  public:
-  /// `graph` and the aggregator's backing Session or ShardedSession must
-  /// outlive the model; the bound sparse operator must be
-  /// GcnNormalized(graph->adjacency). Accepts a Session* or ShardedSession*
-  /// directly (AggregatorRef converts implicitly).
-  GcnModel(const Graph* graph, const GnnConfig& config, AggregatorRef agg);
-
-  /// Back-compat adapter: binds to the engine's underlying (possibly
-  /// sharded) session.
-  GcnModel(const Graph* graph, const GnnConfig& config, SpmmEngine* engine);
+  /// `graph` and `session` must outlive the model; the session's sparse
+  /// operator must be GcnNormalized(graph->adjacency). A sharded session
+  /// trains bit-identically to an unsharded one.
+  GcnModel(const Graph* graph, const GnnConfig& config, Session* session);
 
   /// Forward pass; caches activations for backward (layer 0's input by
   /// reference: graph->features must not change before Backward). Returns
@@ -83,14 +94,14 @@ class GcnModel {
 
  private:
   /// Aggregate `in`, honoring config_.async_pipeline: either dispatched to
-  /// the backend's stream(s) (overlapping the caller's next GEMM) or
+  /// the session's stream (overlapping the caller's next GEMM) or
   /// computed inline at the same program point. `profile` must outlive the
   /// future.
   Future<DenseMatrix> Aggregate(DenseMatrix in, KernelProfile* profile);
 
   const Graph* graph_;
   GnnConfig config_;
-  AggregatorRef agg_;
+  Session* session_;
   std::vector<DenseMatrix> weights_;
   std::unique_ptr<Optimizer> optimizer_;
   Pcg32 dropout_rng_{0xd509};

@@ -6,11 +6,8 @@
 
 namespace hcspmm {
 
-GinModel::GinModel(const Graph* graph, const GnnConfig& config, SpmmEngine* engine)
-    : GinModel(graph, config, engine->agg()) {}
-
-GinModel::GinModel(const Graph* graph, const GnnConfig& config, AggregatorRef agg)
-    : graph_(graph), config_(config), agg_(agg) {
+GinModel::GinModel(const Graph* graph, const GnnConfig& config, Session* session)
+    : graph_(graph), config_(config), session_(session) {
   HCSPMM_CHECK(config_.num_layers >= 1);
   Pcg32 rng(config_.seed);
   int32_t in_dim = graph_->feature_dim;
@@ -24,9 +21,9 @@ GinModel::GinModel(const Graph* graph, const GnnConfig& config, AggregatorRef ag
 }
 
 Future<DenseMatrix> GinModel::Aggregate(DenseMatrix in, KernelProfile* profile) {
-  if (config_.async_pipeline) return agg_.MultiplyAsync(std::move(in), profile);
+  if (config_.async_pipeline) return session_->MultiplyAsync(std::move(in), profile);
   DenseMatrix out;
-  HCSPMM_CHECK_OK(agg_.Multiply(in, &out, profile));
+  HCSPMM_CHECK_OK(session_->Multiply(in, &out, profile));
   return MakeReadyFuture<DenseMatrix>(std::move(out));
 }
 
@@ -37,8 +34,8 @@ DenseMatrix GinModel::Forward(PhaseBreakdown* times) {
   hidden_pre_.clear();
   hidden_act_.clear();
   outputs_.reserve(config_.num_layers);  // inputs_ points into it
-  const DeviceSpec& dev = agg_.device();
-  const DataType dtype = agg_.dtype();
+  const DeviceSpec& dev = session_->device();
+  const DataType dtype = session_->dtype();
 
   const DenseMatrix* x = &graph_->features;
   for (int32_t l = 0;; ++l) {
@@ -48,7 +45,7 @@ DenseMatrix GinModel::Forward(PhaseBreakdown* times) {
     // pipelining overlap lives in Backward.
     KernelProfile agg_prof;
     aggregated_.emplace_back();
-    HCSPMM_CHECK_OK(agg_.Multiply(*x, &aggregated_.back(), &agg_prof));
+    HCSPMM_CHECK_OK(session_->Multiply(*x, &aggregated_.back(), &agg_prof));
     const DenseMatrix& z = aggregated_.back();
 
     // Update: two-layer MLP.
@@ -79,8 +76,8 @@ DenseMatrix GinModel::Forward(PhaseBreakdown* times) {
 
 void GinModel::Backward(const DenseMatrix& grad_logits, PhaseBreakdown* times) {
   HCSPMM_CHECK(inputs_.size() == w1_.size()) << "run Forward first";
-  const DeviceSpec& dev = agg_.device();
-  const DataType dtype = agg_.dtype();
+  const DeviceSpec& dev = session_->device();
+  const DataType dtype = session_->dtype();
 
   DenseMatrix d_out = grad_logits;
   for (int32_t l = config_.num_layers - 1; l >= 0; --l) {

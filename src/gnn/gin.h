@@ -12,14 +12,9 @@ namespace hcspmm {
 /// \brief Multi-layer GIN with full forward/backward and SGD.
 class GinModel {
  public:
-  /// The bound sparse operator must be GinOperator(graph->adjacency).
-  /// Accepts a Session* or ShardedSession* (AggregatorRef converts
-  /// implicitly).
-  GinModel(const Graph* graph, const GnnConfig& config, AggregatorRef agg);
-
-  /// Back-compat adapter: binds to the engine's underlying (possibly
-  /// sharded) session.
-  GinModel(const Graph* graph, const GnnConfig& config, SpmmEngine* engine);
+  /// The session's sparse operator must be GinOperator(graph->adjacency);
+  /// `graph` and `session` must outlive the model.
+  GinModel(const Graph* graph, const GnnConfig& config, Session* session);
 
   DenseMatrix Forward(PhaseBreakdown* times);
   void Backward(const DenseMatrix& grad_logits, PhaseBreakdown* times);
@@ -37,7 +32,7 @@ class GinModel {
 
   const Graph* graph_;
   GnnConfig config_;
-  AggregatorRef agg_;
+  Session* session_;
   std::vector<DenseMatrix> w1_, w2_;  // per-layer MLP weights
   // Caches from the last Forward.
   std::vector<const DenseMatrix*> inputs_;  // X_l: the features, then outputs_

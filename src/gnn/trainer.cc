@@ -28,9 +28,9 @@ TrainStats TrainGnn(const Graph& graph, GnnModelKind kind,
   const CsrMatrix abar = (kind == GnnModelKind::kGcn)
                              ? GcnNormalized(graph.adjacency)
                              : GinOperator(graph.adjacency);
-  // Opening returns immediately: plan building / fingerprinting (for every
-  // shard, when sharded) runs on the runtime pool and overlaps the model's
-  // weight initialization below; the first epoch's first multiply waits.
+  // Opening returns immediately: plan building / fingerprinting runs on the
+  // runtime pool and overlaps the model's weight initialization below; the
+  // first epoch's first multiply waits.
   SessionOptions options =
       SessionOptions().set_kernel(kernel_name).set_device(dev).set_dtype(dtype);
   // Packed indices only exist on the hcspmm plan; baseline kernels keep
@@ -38,30 +38,20 @@ TrainStats TrainGnn(const Graph& graph, GnnModelKind kind,
   if (config.compress_indices && kernel_name == "hcspmm") {
     options.set_compress_indices(true);
   }
-  std::shared_ptr<Session> session;
-  std::shared_ptr<ShardedSession> sharded;
-  if (config.num_shards > 1) {
-    ShardingOptions sharding;
-    sharding.num_shards = config.num_shards;
-    sharded = ShardedSession::Open(Runtime::Default(), abar, options, sharding);
-  } else {
-    session = Runtime::Default()->OpenSession(&abar, options);
-  }
-  const AggregatorRef agg = session != nullptr ? AggregatorRef(session.get())
-                                               : AggregatorRef(sharded.get());
+  const std::shared_ptr<Session> session = Runtime::Default()->OpenSession(&abar, options);
 
   if (kind == GnnModelKind::kGcn) {
-    GcnModel model(&graph, config, agg);
+    GcnModel model(&graph, config, session.get());
     for (int32_t e = 0; e < epochs; ++e) stats.epochs.push_back(model.TrainEpoch());
     stats.memory_bytes = EstimateTrainingMemoryBytes(
-        graph, abar, agg, model.ActivationBytes(), model.ParameterBytes());
+        graph, abar, *session, model.ActivationBytes(), model.ParameterBytes());
   } else {
-    GinModel model(&graph, config, agg);
+    GinModel model(&graph, config, session.get());
     for (int32_t e = 0; e < epochs; ++e) stats.epochs.push_back(model.TrainEpoch());
     stats.memory_bytes = EstimateTrainingMemoryBytes(
-        graph, abar, agg, model.ActivationBytes(), model.ParameterBytes());
+        graph, abar, *session, model.ActivationBytes(), model.ParameterBytes());
   }
-  stats.preprocess_ms = agg.PreprocessNs() / 1e6;
+  stats.preprocess_ms = session->PreprocessNs() / 1e6;
   if (!stats.epochs.empty()) {
     stats.final_loss = stats.epochs.back().loss;
     stats.final_accuracy = stats.epochs.back().accuracy;
@@ -70,7 +60,7 @@ TrainStats TrainGnn(const Graph& graph, GnnModelKind kind,
 }
 
 int64_t EstimateTrainingMemoryBytes(const Graph& graph, const CsrMatrix& abar,
-                                    AggregatorRef agg, int64_t activation_bytes,
+                                    const Session& session, int64_t activation_bytes,
                                     int64_t parameter_bytes) {
   int64_t bytes = 0;
   bytes += graph.features.MemoryBytes();
@@ -78,7 +68,7 @@ int64_t EstimateTrainingMemoryBytes(const Graph& graph, const CsrMatrix& abar,
   bytes += abar.MemoryBytes();
   bytes += activation_bytes;
   bytes += parameter_bytes;
-  bytes += agg.AuxMemoryBytes();
+  bytes += session.AuxMemoryBytes();
   return bytes;
 }
 

@@ -29,24 +29,20 @@ struct TrainStats {
 
 /// Train `epochs` epochs of `kind` on `graph` using the named SpMM kernel.
 /// The sparse operator (GCN-normalized adjacency or GIN operator) is built
-/// internally and bound through a Session — or, when `config.num_shards` >
-/// 1, a ShardedSession of that many row-disjoint partitions — on
-/// Runtime::Default(), so plan building overlaps model initialization and —
-/// when `config.async_pipeline` — backward aggregations overlap the
-/// deferred weight-gradient GEMMs. `config.fuse_kernels` toggles SS V-A
-/// fusion. fp32 numerics (losses, accuracies, weights) are bit-identical
-/// for every shard count; the *simulated* times model one kernel launch per
-/// shard, so sharded PhaseBreakdowns differ from the K=1 run.
+/// internally and bound through a Session on Runtime::Default(), so plan
+/// building overlaps model initialization and — when
+/// `config.async_pipeline` — backward aggregations overlap the deferred
+/// weight-gradient GEMMs. `config.fuse_kernels` toggles SS V-A fusion.
 TrainStats TrainGnn(const Graph& graph, GnnModelKind kind,
                     const std::string& kernel_name, const GnnConfig& config,
                     const DeviceSpec& dev, int32_t epochs,
                     DataType dtype = DataType::kTf32);
 
 /// Estimated training-time GPU memory: graph + operator + activations +
-/// parameters + kernel-specific auxiliary structures (Table XII). `agg` is
-/// the bound Session or ShardedSession (aux memory sums over shards).
+/// parameters + kernel-specific auxiliary structures (Table XII) of the
+/// bound `session`.
 int64_t EstimateTrainingMemoryBytes(const Graph& graph, const CsrMatrix& abar,
-                                    AggregatorRef agg, int64_t activation_bytes,
+                                    const Session& session, int64_t activation_bytes,
                                     int64_t parameter_bytes);
 
 }  // namespace hcspmm

@@ -28,8 +28,8 @@ Runtime::Runtime(const RuntimeOptions& options, PlanCache* shared_cache)
 }
 
 Runtime* Runtime::Default() {
-  // Shares PlanCache::Global() so plan amortization spans SpmmEngine users,
-  // Sessions, and anything else in the process. Leaked on purpose, like
+  // Shares PlanCache::Global() so plan amortization spans TrainGnn, every
+  // Session, and anything else in the process. Leaked on purpose, like
   // ThreadPool::Global().
   static Runtime* runtime = new Runtime(RuntimeOptions(), PlanCache::Global());
   return runtime;

@@ -1,8 +1,7 @@
 // Runtime: owns the executor ThreadPool and the PlanCache that Sessions
-// share. The default runtime (Runtime::Default()) backs SpmmEngine and
-// TrainGnn and shares the process-wide PlanCache::Global(); tests and
-// embedders can instead construct isolated runtimes with their own pool
-// size and cache budget.
+// share. The default runtime (Runtime::Default()) backs TrainGnn and shares
+// the process-wide PlanCache::Global(); tests and embedders can instead
+// construct isolated runtimes with their own pool size and cache budget.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "runtime/session.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "baselines/baselines.h"
@@ -58,6 +59,21 @@ Status Session::Initialize() {
         "compress_indices requires the 'hcspmm' kernel (only its plan "
         "carries the packed index sidecar)");
   }
+  if (options_.sharding().num_shards > 1 && options_.kernel_name() != "hcspmm") {
+    return Status::InvalidArgument(
+        "sharding requires the 'hcspmm' kernel (a shard is a window range of "
+        "its plan)");
+  }
+  // A malformed CSR (say, a column index past cols) would crash the
+  // kernels, so it is rejected before anything reads it. A PlanCache hit
+  // skips the check: its plan was built from validated matrix content.
+  const auto validate = [this] {
+    return abar_->Validate()
+               ? Status::OK()
+               : Status::InvalidArgument(
+                     "malformed CSR operand: row_ptr must start at 0 and be "
+                     "nondecreasing, and every column index must lie in [0, cols)");
+  };
   auto v0 = std::make_shared<PlanVersion>();
   v0->owned = abar_owned_;
   v0->csr = abar_;
@@ -83,6 +99,7 @@ Status Session::Initialize() {
       v0->plan_from_cache = true;
       v0->preprocess_ns = 0.0;
     } else {
+      HCSPMM_RETURN_NOT_OK(validate());
       auto plan = Preprocess(*abar_, options_.device(), selector, kRowWindowHeight,
                              options_.compress_indices());
       HCSPMM_RETURN_NOT_OK(plan.status());
@@ -96,7 +113,12 @@ Status Session::Initialize() {
       v0->plan = std::move(shared);
     }
     windows = &v0->plan->windows;
+    if (options_.sharding().num_shards > 1) {
+      v0->shards = PartitionWindows(*abar_, windows->windows, options_.sharding());
+      if (v0->shards.size() < 2) v0->shards.clear();
+    }
   } else {
+    HCSPMM_RETURN_NOT_OK(validate());
     v0->fingerprint = FingerprintCsr(*abar_);
     // cuda_opt meters per window but has no hybrid plan to carry them; keep
     // the windowing so every profiled multiply reuses it instead of
@@ -162,11 +184,6 @@ std::shared_ptr<const PlanVersion> Session::CurrentVersion() const {
   return current_;
 }
 
-std::shared_ptr<const PlanVersion> Session::InitialVersion() const {
-  init_.Wait();
-  return initial_;
-}
-
 std::shared_ptr<const PlanVersion> Session::TryPinVersion() const {
   std::lock_guard<std::mutex> lk(version_mu_);
   return current_;
@@ -226,6 +243,27 @@ Status Session::ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* stats) {
   cache_->Insert(key, shared_plan);
   next->plan = std::move(shared_plan);
 
+  // Shards keep their windows; only drifted nnz balance moves the range
+  // boundaries, recomputed from the patched plan (the row count never
+  // changes, so the ranges still tile it).
+  bool repartitioned = false;
+  if (!base->shards.empty()) {
+    next->shards = base->shards;
+    int64_t max_nnz = 0;
+    for (ShardRange& range : next->shards) {
+      range.nnz = csr->RowBegin(range.row_end) - csr->RowBegin(range.row_begin);
+      max_nnz = std::max(max_nnz, range.nnz);
+    }
+    const double mean_nnz =
+        static_cast<double>(csr->nnz()) / static_cast<double>(next->shards.size());
+    if (mean_nnz > 0.0 && static_cast<double>(max_nnz) >
+                              options_.sharding().rebalance_threshold * mean_nnz) {
+      next->shards = PartitionWindows(*csr, next->plan->windows.windows,
+                                      options_.sharding());
+      repartitioned = true;
+    }
+  }
+
   {
     std::lock_guard<std::mutex> lk(version_mu_);
     current_ = std::move(next);
@@ -238,6 +276,7 @@ Status Session::ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* stats) {
     stats->total_windows = pp.total_windows;
     stats->dirty_windows = pp.dirty_windows;
     stats->repacked = pp.repacked;
+    stats->repartitioned = repartitioned;
     stats->apply_ms = timer.ElapsedMs();
   }
   return Status::OK();
@@ -272,17 +311,8 @@ Status Session::MultiplyOnWithThreads(const PlanVersion& v, const DenseMatrix& x
   if (injector != nullptr) {
     HCSPMM_RETURN_NOT_OK(injector->OnDispatch(options_.fault_scope()));
   }
-  // Reduced-precision feature path: convert X once per multiply into the
-  // session's storage precision (round-to-nearest-even, deterministic), so
-  // the kernels stream 2 bytes/element. Inputs already stored at the target
-  // precision pass through untouched; the output z is always fp32.
-  const DenseMatrix* input = &x;
   DenseMatrix converted;
-  if (options_.feature_precision() != FeaturePrecision::kFp32 &&
-      x.precision() != options_.feature_precision()) {
-    converted = x.ToPrecision(options_.feature_precision());
-    input = &converted;
-  }
+  const DenseMatrix* input = StoredFeatures(x, &converted);
   // Shaped against the caller's x: a converted input would hide z == &x
   // from the kernel's own check.
   HCSPMM_RETURN_NOT_OK(internal::ShapeOutput(v.csr->rows(), x, z));
@@ -306,10 +336,72 @@ Status Session::MultiplyOnWithThreads(const PlanVersion& v, const DenseMatrix& x
   return st;
 }
 
+const DenseMatrix* Session::StoredFeatures(const DenseMatrix& x,
+                                           DenseMatrix* converted) const {
+  // Reduced-precision feature path: convert X once per multiply into the
+  // session's storage precision (round-to-nearest-even, deterministic), so
+  // the kernels stream 2 bytes/element. Inputs already stored at the target
+  // precision pass through untouched; the output z is always fp32.
+  if (options_.feature_precision() == FeaturePrecision::kFp32 ||
+      x.precision() == options_.feature_precision()) {
+    return &x;
+  }
+  *converted = x.ToPrecision(options_.feature_precision());
+  return converted;
+}
+
+Status Session::MultiplyShards(const PlanVersion& v, const DenseMatrix& x,
+                               DenseMatrix* z, KernelProfile* profile, int num_threads,
+                               const ExecControls& ctl) const {
+  if (v.csr->cols() != x.rows()) {
+    return Status::InvalidArgument("SpMM shape mismatch: A.cols != X.rows");
+  }
+  HCSPMM_RETURN_NOT_OK(HcSpmm::CheckPlan(*v.plan, *v.csr));
+  DenseMatrix converted;
+  const DenseMatrix* input = StoredFeatures(x, &converted);
+  HCSPMM_RETURN_NOT_OK(internal::ShapeOutput(v.csr->rows(), x, z));
+  KernelOptions opts;
+  opts.dtype = options_.dtype();
+  opts.num_threads = num_threads;
+  opts.cancel = ctl.cancel.get();
+  const auto* hc = static_cast<const HcSpmm*>(kernel_.get());
+  const int64_t k = static_cast<int64_t>(v.shards.size());
+  std::vector<KernelProfile> profiles(v.shards.size());
+  std::vector<Status> statuses(v.shards.size());
+  // Helpers run on the executor pool, whose workers may fan each range's
+  // window loop out across the global pool; the caller drains ranges too.
+  // Ranges own disjoint rows of z, so they write it without a lock, and an
+  // attempt meters into its slot only once its kernel succeeded.
+  ParallelFor(
+      0, k, static_cast<int>(k),
+      [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          const ShardRange& range = v.shards[i];
+          const uint64_t scope = options_.fault_scope() + static_cast<uint64_t>(i);
+          statuses[i] = RunWithRetry(ctl, scope, [&] {
+            if (opts.cancel != nullptr && opts.cancel->Expired()) {
+              return opts.cancel->ToStatus();
+            }
+            const std::shared_ptr<FaultInjector>& injector = options_.fault_injector();
+            if (injector != nullptr) HCSPMM_RETURN_NOT_OK(injector->OnDispatch(scope));
+            return hc->RunWindows(*v.plan, *v.csr, *input, options_.device(), opts,
+                                  range.window_begin, range.window_end, z, &profiles[i]);
+          });
+        }
+      },
+      /*grain=*/1, pool_);
+  for (const Status& st : statuses) HCSPMM_RETURN_NOT_OK(st);
+  if (profile != nullptr) {
+    for (const KernelProfile& p : profiles) profile->Accumulate(p);  // shard order
+  }
+  return Status::OK();
+}
+
 Status Session::MultiplyWithControls(const PlanVersion& v, const DenseMatrix& x,
                                      DenseMatrix* z, KernelProfile* profile,
                                      int num_threads,
                                      const ExecControls& ctl) const {
+  if (!v.shards.empty()) return MultiplyShards(v, x, z, profile, num_threads, ctl);
   return RunWithRetry(ctl, options_.fault_scope(), [&] {
     return MultiplyOnWithThreads(v, x, z, profile, num_threads,
                                  ctl.cancel.get());

@@ -1,6 +1,6 @@
 // Session: one SpMM kernel bound to one sparse operator, with asynchronous,
-// stream-ordered submission. This is the engine layer the rest of the
-// library builds on — SpmmEngine is a thin synchronous adapter over it.
+// stream-ordered submission — the one execution handle the GNN models, the
+// serving pool and the benches multiply through.
 //
 // Opening a session returns immediately: preprocessing (plan building /
 // fingerprint lookup for "hcspmm", window construction for the baselines)
@@ -9,6 +9,12 @@
 // streams run concurrently. Results and metered profiles are bit-identical
 // to the synchronous path: the functional kernels are deterministic for any
 // thread count and metering is simulated, so only wall-clock changes.
+//
+// Sharding (SessionOptions::set_sharding) splits the plan's row windows into
+// K contiguous ranges stored in each PlanVersion. A multiply runs the K
+// ranges concurrently; each writes its own rows of z, draws faults from its
+// own scope and retries alone, so a shard is a fault domain without being a
+// separate matrix, plan or session.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +30,7 @@
 #include "exec/thread_pool.h"
 #include "kernels/spmm_kernel.h"
 #include "runtime/future.h"
+#include "shard/partitioner.h"
 #include "stream/delta.h"
 #include "util/fault.h"
 
@@ -50,6 +57,10 @@ struct PlanVersion {
   int64_t aux_bytes = 0;
   double preprocess_ns = 0.0;  ///< plan build (v0) or patch cost (later)
   bool plan_from_cache = false;
+  /// K > 1 contiguous window ranges of `plan` tiling its windows; empty for
+  /// an unsharded session. Part of the snapshot, so a pinned multiply can
+  /// never be torn across shards.
+  std::vector<ShardRange> shards;
 };
 
 /// Builder-style configuration for Runtime::OpenSession.
@@ -114,11 +125,19 @@ class SessionOptions {
     fault_injector_ = std::move(injector);
     return *this;
   }
-  /// Fault-domain id this session's dispatches draw from (per-shard
-  /// sessions get distinct scopes so one shard can fail independently).
+  /// Fault-domain id this session's dispatches draw from (shard i of a
+  /// sharded session draws from scope + i, so one shard can fail alone).
   /// Also seeds the retry policy's per-call jitter stream.
   SessionOptions& set_fault_scope(uint64_t scope) {
     fault_scope_ = scope;
+    return *this;
+  }
+  /// Split the plan's row windows into sharding.num_shards contiguous
+  /// ranges (see Session). K > 1 requires the "hcspmm" kernel (a shard is a
+  /// window range of its plan); other kernels fail with InvalidArgument.
+  /// The plan, and its PlanCache entry, is the same for every K.
+  SessionOptions& set_sharding(ShardingOptions sharding) {
+    sharding_ = sharding;
     return *this;
   }
 
@@ -135,6 +154,7 @@ class SessionOptions {
     return fault_injector_;
   }
   uint64_t fault_scope() const { return fault_scope_; }
+  const ShardingOptions& sharding() const { return sharding_; }
 
  private:
   std::string kernel_name_ = "hcspmm";
@@ -148,6 +168,7 @@ class SessionOptions {
   FeaturePrecision feature_precision_ = FeaturePrecision::kFp32;
   std::shared_ptr<FaultInjector> fault_injector_;
   uint64_t fault_scope_ = 0;
+  ShardingOptions sharding_;
 };
 
 class Runtime;
@@ -166,12 +187,6 @@ class Session : public std::enable_shared_from_this<Session> {
   /// Non-blocking: has preprocessing completed (successfully or not)?
   bool initialized() const { return init_.ready(); }
 
-  /// The preprocessing future itself (resolves true, or the init error).
-  /// Whoever owns the bound matrix can chain a keepalive on it —
-  /// ShardedSession pins the shard CSRs this way — or poll/wait without
-  /// claiming the session.
-  Future<bool> ready_future() const { return init_; }
-
   /// z = Abar * x, synchronously on the calling thread with full row-level
   /// parallelism. Appends to `profile` if non-null.
   ///
@@ -184,9 +199,11 @@ class Session : public std::enable_shared_from_this<Session> {
   /// Every multiply entry point takes optional ExecControls: a cancel token
   /// (polled at window-batch granularity; expiry resolves
   /// kDeadlineExceeded), and a RetryPolicy transparently re-running the
-  /// whole attempt on IsRetryable failures. A failed attempt never touches
-  /// `profile`, and a successful retry recomputes every row of z from
+  /// whole attempt on IsRetryable failures — per shard when sharded, so
+  /// only the failed window range recomputes. A failed attempt never
+  /// touches `profile`, and a retry recomputes every row it owns from
   /// scratch, so fp32 results stay bit-identical to the fault-free run.
+  /// A sharded multiply accumulates one profile per shard, in shard order.
   Status Multiply(const DenseMatrix& x, DenseMatrix* z, KernelProfile* profile,
                   const ExecControls& ctl = {}) const;
 
@@ -197,9 +214,9 @@ class Session : public std::enable_shared_from_this<Session> {
   Future<DenseMatrix> MultiplyAsync(DenseMatrix x, KernelProfile* profile = nullptr,
                                     int stream = 0, ExecControls ctl = {});
 
-  /// Batched synchronous entry point (semantics of SpmmEngine::MultiplyBatch:
-  /// scratch results, aliasing-safe, profiles in batch order, first error
-  /// wins). An empty batch returns OK without touching the pool.
+  /// Batched synchronous entry point: results go to scratch first (so *zs
+  /// may alias the inputs), profiles accumulate in batch order, the first
+  /// item error wins. An empty batch returns OK without touching the pool.
   Status MultiplyBatch(const std::vector<const DenseMatrix*>& xs,
                        std::vector<DenseMatrix>* zs, KernelProfile* profile,
                        const ExecControls& ctl = {}) const;
@@ -216,9 +233,7 @@ class Session : public std::enable_shared_from_this<Session> {
   /// without invoking `fn`). Everything captured by `fn` must stay alive
   /// until the future resolves, and `fn` must not block on other pool work
   /// (calling this session's synchronous entry points is fine — init has
-  /// already resolved by the time a stream task runs). ShardedSession uses
-  /// this to run per-shard multiplies that scatter straight into a shared
-  /// output without copying the input matrix per shard.
+  /// already resolved by the time a stream task runs).
   Future<bool> SubmitAsync(std::function<Status()> fn, int stream = 0);
 
   /// Apply a batch of edge deltas to the bound graph ("hcspmm" only): merge
@@ -228,25 +243,20 @@ class Session : public std::enable_shared_from_this<Session> {
   /// fingerprint, insert the patched plan into the PlanCache under the new
   /// fingerprint, and atomically publish the new PlanVersion. In-flight
   /// async multiplies finish on the snapshot they pinned at submission; the
-  /// next submission sees the patched plan. Waits for init; concurrent
-  /// ApplyDeltas calls serialize. On error nothing is published.
+  /// next submission sees the patched plan. A sharded session keeps its
+  /// range boundaries unless the patched shard nnz drifts past
+  /// ShardingOptions::rebalance_threshold; then the boundaries are
+  /// recomputed from the patched plan (stats->repartitioned). Waits for
+  /// init; concurrent ApplyDeltas calls serialize. On error nothing is
+  /// published.
   Status ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* stats = nullptr);
 
   /// The current (latest-published) snapshot; waits for init. Holding the
-  /// returned shared_ptr pins the snapshot's matrix and plan — ShardedSession
-  /// pins per-shard versions this way so a fanned-out multiply is torn-free
-  /// across shards even while deltas land.
+  /// returned shared_ptr pins the snapshot's matrix, plan and shard ranges.
   std::shared_ptr<const PlanVersion> CurrentVersion() const;
 
-  /// Version 0 (the snapshot the session was opened on); waits for init.
-  /// Immutable for the session's lifetime, so a multiply submitted before
-  /// any delta landed can always be resolved against it.
-  std::shared_ptr<const PlanVersion> InitialVersion() const;
-
   /// z = Abar(version) * x on an explicitly pinned snapshot, synchronously,
-  /// with the session's configured thread count. ShardedSession forwards its
-  /// ExecControls here, so a retry re-dispatches *only this session's shard*
-  /// of a fanned-out multiply.
+  /// with the session's configured thread count.
   Status MultiplyOn(const PlanVersion& v, const DenseMatrix& x, DenseMatrix* z,
                     KernelProfile* profile, const ExecControls& ctl = {}) const;
 
@@ -308,7 +318,8 @@ class Session : public std::enable_shared_from_this<Session> {
   /// shared_ptr exists (the task keeps the session alive).
   void StartInit();
 
-  /// Preprocessing body: plan lookup/build + window statistics. Publishes
+  /// Preprocessing body: operand validation (on a PlanCache miss), plan
+  /// lookup/build, window statistics and the shard ranges. Publishes
   /// version 0 (initial_ and current_) before init_ resolves.
   Status Initialize();
 
@@ -331,8 +342,18 @@ class Session : public std::enable_shared_from_this<Session> {
                                int num_threads,
                                const CancelToken* cancel = nullptr) const;
 
+  /// K window ranges of a sharded snapshot, run concurrently; range i is
+  /// one attempt loop of its own under scope options().fault_scope() + i.
+  Status MultiplyShards(const PlanVersion& v, const DenseMatrix& x, DenseMatrix* z,
+                        KernelProfile* profile, int num_threads,
+                        const ExecControls& ctl) const;
+
+  /// x in the session's feature storage precision: x itself, or its
+  /// conversion held in *converted.
+  const DenseMatrix* StoredFeatures(const DenseMatrix& x, DenseMatrix* converted) const;
+
   /// MultiplyOnWithThreads wrapped in the ExecControls retry loop (scope =
-  /// options().fault_scope()).
+  /// options().fault_scope()), or MultiplyShards for a sharded snapshot.
   Status MultiplyWithControls(const PlanVersion& v, const DenseMatrix& x,
                               DenseMatrix* z, KernelProfile* profile,
                               int num_threads, const ExecControls& ctl) const;

@@ -64,9 +64,9 @@ struct ServerOptions {
   TenantOptions default_tenant;
   /// Default per-graph retry policy for dispatched batches: IsRetryable
   /// batch failures (injected kUnavailable faults) re-run transparently
-  /// inside the session layer — per item, and per shard slice for sharded
-  /// backends — before the batch future resolves. max_attempts <= 1 (the
-  /// default) disables retry. Override per graph with SetRetryPolicy.
+  /// inside the session layer — per item, and per shard window range for
+  /// sharded sessions — before the batch future resolves. max_attempts <= 1
+  /// (the default) disables retry. Override per graph with SetRetryPolicy.
   RetryPolicy retry;
   /// Per-graph circuit breaker: after this many *consecutive* kUnavailable
   /// batch failures the graph's breaker opens for breaker_open_us — queued

@@ -1,7 +1,6 @@
 #include "serve/session_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "exec/plan_cache.h"
@@ -9,81 +8,23 @@
 
 namespace hcspmm {
 
-namespace {
-
-// Join state for the sharded batch path: every item resolves into its slot,
-// the last one to finish fulfills the batch promise (first error wins, but
-// all items are always awaited so nothing dangles).
-struct BatchJoin {
-  explicit BatchJoin(size_t n) : zs(n), remaining(static_cast<int64_t>(n)) {}
-
-  std::vector<DenseMatrix> zs;
-  std::mutex mu;
-  Status first_error;
-  std::atomic<int64_t> remaining;
-  Promise<std::vector<DenseMatrix>> promise;
-};
-
-}  // namespace
-
-Future<std::vector<DenseMatrix>> PooledSession::MultiplyBatchAsync(
-    std::vector<DenseMatrix> xs, int stream, ExecControls ctl) const {
-  if (session_ != nullptr) {
-    return session_->MultiplyBatchAsync(std::move(xs), /*profile=*/nullptr, stream,
-                                        std::move(ctl));
-  }
-  if (xs.empty()) return MakeReadyFuture(std::vector<DenseMatrix>());
-  auto join = std::make_shared<BatchJoin>(xs.size());
-  auto sharded = sharded_;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    // One stream per item so items overlap across each shard's FIFO lanes
-    // (Session mods the index into its stream count).
-    Future<DenseMatrix> item = sharded->MultiplyAsync(
-        std::move(xs[i]), /*profile=*/nullptr, stream + static_cast<int>(i), ctl);
-    item.OnReady([join, item, i]() mutable {
-      {
-        std::lock_guard<std::mutex> lk(join->mu);
-        if (item.status().ok()) {
-          join->zs[i] = item.Take();
-        } else if (join->first_error.ok()) {
-          join->first_error = item.status();
-        }
-      }
-      if (join->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        if (join->first_error.ok()) {
-          join->promise.Set(std::move(join->zs));
-        } else {
-          join->promise.Set(join->first_error);
-        }
-      }
-    });
-  }
-  return join->promise.future();
-}
-
 SessionPool::SessionPool(Runtime* runtime, SessionPoolOptions options)
     : runtime_(runtime), options_(std::move(options)) {
   if (options_.max_sessions < 1) options_.max_sessions = 1;
 }
 
 SessionPool::~SessionPool() {
-  // Sessions read the pool-owned CSR while their queued plan build runs, and
-  // an *evicted* session's build may still be pending with the build task as
-  // its only owner. Wait for every surviving backend to finish preprocessing
-  // before the graphs_ map (and the matrices) goes away.
+  // An *evicted* session's queued plan build may still be pending with the
+  // build task as its only owner. Wait for every surviving session to
+  // finish preprocessing before the pool goes away.
   std::vector<std::shared_ptr<Session>> sessions;
-  std::vector<std::shared_ptr<ShardedSession>> sharded;
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (const std::weak_ptr<Session>& w : ever_opened_) {
       if (std::shared_ptr<Session> s = w.lock()) sessions.push_back(std::move(s));
     }
-    for (const std::weak_ptr<ShardedSession>& w : ever_opened_sharded_) {
-      if (std::shared_ptr<ShardedSession> s = w.lock()) sharded.push_back(std::move(s));
-    }
   }
   for (const std::shared_ptr<Session>& s : sessions) (void)s->WaitReady();
-  for (const std::shared_ptr<ShardedSession>& s : sharded) (void)s->WaitReady();
 }
 
 uint64_t SessionPool::RegisterGraph(CsrMatrix abar) {
@@ -114,39 +55,22 @@ int64_t SessionPool::GraphNnz(uint64_t handle) const {
   return it == graphs_.end() ? -1 : it->second.abar->nnz();
 }
 
-namespace {
-
-template <typename T>
-void PruneExpired(std::vector<std::weak_ptr<T>>* refs) {
-  refs->erase(std::remove_if(refs->begin(), refs->end(),
-                             [](const std::weak_ptr<T>& w) { return w.expired(); }),
-              refs->end());
-}
-
-}  // namespace
-
-PooledSession SessionPool::OpenLocked(uint64_t handle, GraphEntry* entry) {
-  PruneExpired(&ever_opened_);
-  PruneExpired(&ever_opened_sharded_);
+std::shared_ptr<Session> SessionPool::OpenLocked(uint64_t handle, GraphEntry* entry) {
+  ever_opened_.erase(std::remove_if(ever_opened_.begin(), ever_opened_.end(),
+                                    [](const std::weak_ptr<Session>& w) {
+                                      return w.expired();
+                                    }),
+                     ever_opened_.end());
   // The content fingerprint doubles as the graph's fault-domain scope: fault
   // schedules and retry jitter are then deterministic per graph no matter in
-  // what order graphs are registered or (re)opened. Shard backends offset
-  // their per-shard scopes from it.
+  // what order graphs are registered or (re)opened. Shards offset their
+  // scopes from it.
   SessionOptions session_options = options_.session;
   session_options.set_fault_scope(handle);
-  PooledSession opened;
-  if (options_.num_shards > 1) {
-    ShardingOptions sharding = options_.sharding;
-    sharding.num_shards = options_.num_shards;
-    opened.sharded_ =
-        ShardedSession::Open(runtime_, *entry->abar, session_options, sharding);
-    ever_opened_sharded_.push_back(opened.sharded_);
-  } else {
-    // Shared-ownership open: the session pins the snapshot itself, so a
-    // later ApplyDeltas/Unregister can swap/drop entry->abar safely.
-    opened.session_ = runtime_->OpenSession(entry->abar, session_options);
-    ever_opened_.push_back(opened.session_);
-  }
+  // Shared-ownership open: the session pins the snapshot itself, so a later
+  // ApplyDeltas/Unregister can swap/drop entry->abar safely.
+  std::shared_ptr<Session> opened = runtime_->OpenSession(entry->abar, session_options);
+  ever_opened_.push_back(opened);
   ++opened_;
   return opened;
 }
@@ -156,14 +80,14 @@ void SessionPool::EvictToBudgetLocked() {
     const uint64_t victim = lru_.back();
     lru_.pop_back();
     GraphEntry& entry = graphs_.at(victim);
-    entry.open = PooledSession();  // in-flight work holds its own reference
+    entry.open = nullptr;  // in-flight work holds its own reference
     entry.resident = false;
     --resident_;
     ++evicted_;
   }
 }
 
-Result<PooledSession> SessionPool::Acquire(uint64_t handle) {
+Result<std::shared_ptr<Session>> SessionPool::Acquire(uint64_t handle) {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = graphs_.find(handle);
   if (it == graphs_.end()) {
@@ -196,20 +120,14 @@ Result<uint64_t> SessionPool::ApplyDeltas(uint64_t handle, const DeltaBatch& bat
   }
   GraphEntry& entry = it->second;
 
-  // Patch the resident backend first (incremental plan maintenance; its
+  // Patch the resident session first (incremental plan maintenance; its
   // in-flight multiplies finish on the snapshot they pinned), then swap the
   // stored content. Errors — inapplicable batch, non-hcspmm kernel — leave
   // both untouched.
-  if (entry.resident && entry.open.session_ != nullptr) {
-    HCSPMM_RETURN_NOT_OK(entry.open.session_->ApplyDeltas(batch, stats));
-    entry.abar = entry.open.session_->CurrentVersion()->owned;
+  if (entry.resident) {
+    HCSPMM_RETURN_NOT_OK(entry.open->ApplyDeltas(batch, stats));
+    entry.abar = entry.open->CurrentVersion()->owned;
   } else {
-    if (entry.resident && entry.open.sharded_ != nullptr) {
-      HCSPMM_RETURN_NOT_OK(entry.open.sharded_->ApplyDeltas(batch, stats));
-      // The sharded backend owns per-shard snapshots; the pool still stores
-      // the full matrix for future (re)opens, patched below.
-      stats = nullptr;  // already filled by the sharded apply
-    }
     auto patched = ApplyDeltasToCsr(*entry.abar, batch, stats);
     HCSPMM_RETURN_NOT_OK(patched.status());
     entry.abar = std::make_shared<const CsrMatrix>(std::move(patched.ValueOrDie()));
@@ -221,7 +139,7 @@ Result<uint64_t> SessionPool::ApplyDeltas(uint64_t handle, const DeltaBatch& bat
   auto existing = graphs_.find(new_handle);
   if (existing != graphs_.end()) {
     // Patched content collides with an already-registered graph: merge into
-    // it (content dedup). The patched entry's backend stays alive through
+    // it (content dedup). The patched entry's session stays alive through
     // any in-flight references; the pool keeps the incumbent.
     if (entry.resident) {
       lru_.erase(entry.lru_pos);
@@ -251,7 +169,7 @@ Status SessionPool::Unregister(uint64_t handle) {
     ++evicted_;
   }
   // In-flight work (and evicted sessions still preprocessing) holds shared
-  // ownership of the backend and, through it, of the CSR snapshot; erasing
+  // ownership of the session and, through it, of the CSR snapshot; erasing
   // the entry only drops the pool's references.
   graphs_.erase(it);
   return Status::OK();
@@ -262,7 +180,7 @@ bool SessionPool::Evict(uint64_t handle) {
   auto it = graphs_.find(handle);
   if (it == graphs_.end() || !it->second.resident) return false;
   lru_.erase(it->second.lru_pos);
-  it->second.open = PooledSession();
+  it->second.open = nullptr;
   it->second.resident = false;
   --resident_;
   ++evicted_;

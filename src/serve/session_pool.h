@@ -1,7 +1,7 @@
 // SessionPool: the long-lived resource manager under the serving layer. It
 // owns the registered graph operands (CSR matrices, deduplicated by content
 // fingerprint — the same FNV-1a hash the PlanCache keys on) and lazily opens
-// one Session (or ShardedSession) per graph on first demand, LRU-evicting
+// one Session per graph on first demand, LRU-evicting
 // open sessions once a configurable budget is exceeded. Eviction only drops
 // the pool's reference: in-flight work holds its own shared_ptr, and the
 // graph itself stays registered, so a re-acquired session rebuilds instantly
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "runtime/session.h"
-#include "shard/sharded_session.h"
 #include "sparse/csr.h"
 #include "stream/delta.h"
 #include "util/status.h"
@@ -33,12 +32,8 @@ struct SessionPoolOptions {
   /// beyond it; evicted graphs reopen on demand (cheap on a PlanCache hit).
   int max_sessions = 8;
   /// Template for every session the pool opens (kernel/device/dtype/
-  /// threads/streams/selector).
+  /// threads/streams/selector/sharding).
   SessionOptions session;
-  /// > 1 opens a ShardedSession per graph instead of a plain Session.
-  int num_shards = 1;
-  /// Partitioning knobs, consulted only when num_shards > 1.
-  ShardingOptions sharding;
 };
 
 /// Counters exposed for tests and the serving stats snapshot.
@@ -51,46 +46,6 @@ struct SessionPoolStats {
   int64_t evicted = 0;   ///< sessions LRU-evicted
 };
 
-/// \brief Owning handle to a pooled backend (plain or sharded session,
-/// exactly one non-null). Copies share the backend; holding one keeps it
-/// alive across pool eviction.
-class PooledSession {
- public:
-  PooledSession() = default;
-
-  bool valid() const { return session_ != nullptr || sharded_ != nullptr; }
-
-  /// Non-owning view for the Session-shaped sync API.
-  AggregatorRef ref() const {
-    return session_ != nullptr ? AggregatorRef(session_.get())
-                               : AggregatorRef(sharded_.get());
-  }
-
-  /// Async batched multiply used by the server's micro-batcher. For a plain
-  /// session this is Session::MultiplyBatchAsync verbatim; for a sharded
-  /// backend each item fans out via ShardedSession::MultiplyAsync on its own
-  /// stream and the results join into batch order. Either way every item is
-  /// computed exactly like a direct Multiply on the same input — per-request
-  /// accumulation order never changes, so fp32 results are bit-identical.
-  /// An empty batch resolves immediately. ExecControls forward into the
-  /// backend (per-item retry; for a sharded backend retry re-dispatches only
-  /// the failed shard's row slice).
-  Future<std::vector<DenseMatrix>> MultiplyBatchAsync(std::vector<DenseMatrix> xs,
-                                                      int stream = 0,
-                                                      ExecControls ctl = {}) const;
-
-  /// Block until preprocessing finished; returns its outcome.
-  Status WaitReady() const {
-    return session_ != nullptr ? session_->WaitReady() : sharded_->WaitReady();
-  }
-
- private:
-  friend class SessionPool;
-
-  std::shared_ptr<Session> session_;
-  std::shared_ptr<ShardedSession> sharded_;
-};
-
 /// \brief Concurrent, LRU-bounded manager of graphs and their sessions.
 class SessionPool {
  public:
@@ -99,7 +54,7 @@ class SessionPool {
   /// ones still finishing their queued plan build) is done preprocessing —
   /// sessions read the pool-owned CSR during plan building, so the graphs
   /// must not be freed under them. Callers must still drain their own
-  /// multiplies and drop PooledSession handles before destroying the pool.
+  /// multiplies and drop acquired sessions before destroying the pool.
   ~SessionPool();
   SessionPool(const SessionPool&) = delete;
   SessionPool& operator=(const SessionPool&) = delete;
@@ -124,16 +79,17 @@ class SessionPool {
 
   /// Get-or-open the session for `handle` (refreshing its LRU position).
   /// Opening is non-blocking — plan building runs on the runtime pool, and
-  /// the returned handle's operations gate on it — and may evict the
-  /// least-recently-used open session to hold the budget. Unknown handles
+  /// the session's operations gate on it — and may evict the
+  /// least-recently-used open session to hold the budget. Holding the
+  /// returned session keeps it alive across eviction. Unknown handles
   /// return InvalidArgument.
-  Result<PooledSession> Acquire(uint64_t handle);
+  Result<std::shared_ptr<Session>> Acquire(uint64_t handle);
 
   /// Streaming admission: patch the registered graph `handle` in place with
   /// an edge-delta batch and re-fingerprint its entry. The stored CSR is
-  /// swapped for the patched content; a resident backend is patched through
-  /// Session/ShardedSession::ApplyDeltas (incremental plan maintenance), so
-  /// its in-flight multiplies finish on the old snapshot. Returns the new
+  /// swapped for the patched content; a resident session is patched through
+  /// Session::ApplyDeltas (incremental plan maintenance), so its in-flight
+  /// multiplies finish on the old snapshot. Returns the new
   /// handle — FoldFingerprint(handle, batch.Hash()) — under which the entry
   /// is now registered; the old handle is forgotten. If patched content
   /// collides with an already-registered graph, the patched entry is merged
@@ -143,7 +99,7 @@ class SessionPool {
                                DeltaApplyStats* stats = nullptr);
 
   /// Drop a registered graph entirely (its open session too, if resident).
-  /// Unconditional at the pool level: backends still referenced by in-flight
+  /// Unconditional at the pool level: sessions still referenced by in-flight
   /// work stay alive through their own shared ownership. The serving layer
   /// (Server::UnregisterGraph) adds the requests-in-flight refusal on top.
   Status Unregister(uint64_t handle);
@@ -156,20 +112,20 @@ class SessionPool {
 
  private:
   struct GraphEntry {
-    /// Shared content snapshot: plain sessions co-own it (shared-ptr
+    /// Shared content snapshot: sessions co-own it (shared-ptr
     /// OpenSession), so ApplyDeltas/Unregister may swap or drop it while an
     /// already-open session still computes on the old snapshot.
     std::shared_ptr<const CsrMatrix> abar;
-    PooledSession open;  // invalid when not resident
+    std::shared_ptr<Session> open;  // null when not resident
     std::list<uint64_t>::iterator lru_pos;
     bool resident = false;
   };
 
   /// Open a session for the entry (lock held; the open itself is
   /// non-blocking so the critical section stays short). `handle` seeds the
-  /// backend's fault scope so each graph is its own deterministic fault
+  /// session's fault scope so each graph is its own deterministic fault
   /// domain (shards offset from it).
-  PooledSession OpenLocked(uint64_t handle, GraphEntry* entry);
+  std::shared_ptr<Session> OpenLocked(uint64_t handle, GraphEntry* entry);
   void EvictToBudgetLocked();
 
   Runtime* runtime_;
@@ -178,10 +134,9 @@ class SessionPool {
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, GraphEntry> graphs_;
   std::list<uint64_t> lru_;  // front = most recently used, resident only
-  /// Weak refs to every backend ever opened; the destructor waits on the
-  /// survivors so no plan-build task outlives the graphs it reads.
+  /// Weak refs to every session ever opened; the destructor waits on the
+  /// survivors so no plan-build task outlives the pool.
   std::vector<std::weak_ptr<Session>> ever_opened_;
-  std::vector<std::weak_ptr<ShardedSession>> ever_opened_sharded_;
   int64_t resident_ = 0;
   int64_t hits_ = 0;
   int64_t misses_ = 0;

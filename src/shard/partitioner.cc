@@ -3,138 +3,76 @@
 #include <algorithm>
 
 #include "calib/calibrated_model.h"
-#include "core/row_window.h"
 #include "util/logging.h"
 
 namespace hcspmm {
 
-namespace {
-
-// Number of indivisible split units: single rows, or kRowWindowHeight-row
-// blocks when shard boundaries must not cut a row window.
-int64_t SplitUnits(int32_t rows, bool align_to_windows) {
-  if (!align_to_windows) return rows;
-  return (static_cast<int64_t>(rows) + kRowWindowHeight - 1) / kRowWindowHeight;
-}
-
-// First row of split unit `u` (clamped to rows for the trailing short unit).
-int32_t UnitBeginRow(int64_t u, int32_t rows, bool align_to_windows) {
-  const int64_t row = align_to_windows ? u * kRowWindowHeight : u;
-  return static_cast<int32_t>(std::min<int64_t>(row, rows));
-}
-
-}  // namespace
-
-int GraphPartitioner::EffectiveShardCount(int32_t rows) const {
-  const int64_t units = SplitUnits(rows, options_.align_to_windows);
-  const int64_t requested = std::max(1, options_.num_shards);
-  return static_cast<int>(std::max<int64_t>(1, std::min(requested, units)));
-}
-
-GraphPartition GraphPartitioner::Partition(const CsrMatrix& m) const {
-  GraphPartition part;
-  part.rows = m.rows();
-  part.cols = m.cols();
-
-  const int k = EffectiveShardCount(m.rows());
-  const int64_t units =
-      std::max<int64_t>(1, SplitUnits(m.rows(), options_.align_to_windows));
-  const int64_t total_nnz = m.nnz();
+std::vector<ShardRange> PartitionWindows(const CsrMatrix& m,
+                                         const std::vector<RowWindow>& windows,
+                                         const ShardingOptions& options) {
+  const int64_t units = static_cast<int64_t>(windows.size());
+  if (units == 0) return {};
+  const int k = static_cast<int>(
+      std::min<int64_t>(std::max(1, options.num_shards), units));
   const std::vector<int64_t>& row_ptr = m.row_ptr();
+  const auto unit_row = [&](int64_t u) {
+    return u == units ? m.rows() : windows[u].first_row;
+  };
 
-  // Cost-driven mode balances predicted per-unit time instead of nnz:
-  // prefix_cost[u] is the predicted ns of units [0, u), binary-searched the
-  // same way row_ptr (the prefix-nnz array) is below. Weights only move the
-  // boundaries between whole units, never inside one, so every guarantee of
-  // the nnz split (contiguity, tiling, fp32 bit-identity) is untouched.
+  // Cost-driven mode balances predicted per-window time instead of nnz:
+  // prefix_cost[u] is the predicted ns of windows [0, u), binary-searched
+  // the same way row_ptr (the prefix-nnz array) is below.
   std::vector<double> prefix_cost;
-  if (options_.balance_by_cost && k > 1) {
-    const std::vector<double> unit_cost = PredictedUnitCostNs(m, options_);
+  if (options.balance_by_cost && k > 1) {
+    const std::vector<double> unit_cost = PredictedWindowCostNs(windows, options);
     prefix_cost.resize(unit_cost.size() + 1, 0.0);
     for (size_t u = 0; u < unit_cost.size(); ++u) {
       prefix_cost[u + 1] = prefix_cost[u] + unit_cost[u];
     }
   }
 
-  // Greedy contiguous split over units: boundary i targets the prefix-nnz
-  // (or prefix-cost) quantile (i+1)/k, constrained so every shard keeps at
-  // least one unit. row_ptr doubles as the prefix-nnz array, so each
-  // boundary is a binary search, not a scan.
-  part.ranges.reserve(k);
+  std::vector<ShardRange> ranges;
+  ranges.reserve(k);
   int64_t prev_unit = 0;
   for (int i = 0; i < k; ++i) {
-    int64_t end_unit;
-    if (i == k - 1) {
-      end_unit = units;
-    } else {
-      int64_t unit;
+    int64_t end_unit = units;
+    if (i < k - 1) {
       if (!prefix_cost.empty()) {
         const double target =
             prefix_cost.back() * static_cast<double>(i + 1) / static_cast<double>(k);
-        const auto it = std::lower_bound(prefix_cost.begin() + prev_unit + 1,
-                                         prefix_cost.end() - 1, target);
-        unit = it - prefix_cost.begin();
+        end_unit = std::lower_bound(prefix_cost.begin() + prev_unit + 1,
+                                    prefix_cost.end() - 1, target) -
+                   prefix_cost.begin();
       } else {
-        const int64_t target = total_nnz * (i + 1) / k;
-        const int32_t prev_row =
-            UnitBeginRow(prev_unit, m.rows(), options_.align_to_windows);
-        // Smallest row whose prefix nnz reaches the target...
-        const auto it = std::lower_bound(row_ptr.begin() + prev_row + 1,
+        // Smallest row whose prefix nnz reaches the target, rounded to the
+        // nearest window boundary.
+        const int64_t target = m.nnz() * (i + 1) / k;
+        const auto it = std::lower_bound(row_ptr.begin() + unit_row(prev_unit) + 1,
                                          row_ptr.begin() + m.rows(), target);
-        const int64_t boundary_row = it - row_ptr.begin();
-        unit = options_.align_to_windows
-                   ? (boundary_row + kRowWindowHeight / 2) / kRowWindowHeight
-                   : boundary_row;
+        end_unit = (it - row_ptr.begin() + kRowWindowHeight / 2) / kRowWindowHeight;
       }
-      // ...rounded to a unit boundary and kept strictly increasing while
-      // leaving one unit for each remaining shard.
-      unit = std::max(unit, prev_unit + 1);
-      unit = std::min(unit, units - (k - 1 - i));
-      end_unit = unit;
+      // Strictly increasing, leaving one window for each remaining shard.
+      end_unit = std::max(end_unit, prev_unit + 1);
+      end_unit = std::min(end_unit, units - (k - 1 - i));
     }
     ShardRange range;
-    range.row_begin = UnitBeginRow(prev_unit, m.rows(), options_.align_to_windows);
-    range.row_end = UnitBeginRow(end_unit, m.rows(), options_.align_to_windows);
-    range.nnz =
-        m.rows() > 0 ? row_ptr[range.row_end] - row_ptr[range.row_begin] : 0;
-    part.ranges.push_back(range);
+    range.window_begin = static_cast<int32_t>(prev_unit);
+    range.window_end = static_cast<int32_t>(end_unit);
+    range.row_begin = unit_row(prev_unit);
+    range.row_end = unit_row(end_unit);
+    range.nnz = row_ptr[range.row_end] - row_ptr[range.row_begin];
+    ranges.push_back(range);
     prev_unit = end_unit;
   }
-  HCSPMM_CHECK(part.ranges.back().row_end == m.rows());
-
-  // Materialize each range as a standalone CSR: row_ptr rebased to 0,
-  // col_ind/val sliced verbatim so every row keeps its original column order
-  // (fp32 bit-identity of the per-row dot products).
-  part.shards.reserve(k);
-  for (const ShardRange& range : part.ranges) {
-    const int64_t base = m.rows() > 0 ? row_ptr[range.row_begin] : 0;
-    std::vector<int64_t> shard_ptr(static_cast<size_t>(range.NumRows()) + 1);
-    for (int32_t r = 0; r <= range.NumRows(); ++r) {
-      shard_ptr[r] = row_ptr[range.row_begin + r] - base;
-    }
-    std::vector<int32_t> shard_cols(m.col_ind().begin() + base,
-                                    m.col_ind().begin() + base + range.nnz);
-    std::vector<float> shard_vals(m.val().begin() + base,
-                                  m.val().begin() + base + range.nnz);
-    part.shards.emplace_back(range.NumRows(), m.cols(), std::move(shard_ptr),
-                             std::move(shard_cols), std::move(shard_vals));
-  }
-  return part;
+  HCSPMM_CHECK(ranges.back().row_end == m.rows());
+  return ranges;
 }
 
-GraphPartition PartitionCsr(const CsrMatrix& m, const ShardingOptions& options) {
-  return GraphPartitioner(options).Partition(m);
-}
-
-std::vector<double> PredictedUnitCostNs(const CsrMatrix& m,
-                                        const ShardingOptions& options) {
-  // One window per split unit: the full window height when boundaries snap
-  // to windows, single rows otherwise.
-  const int32_t height = options.align_to_windows ? kRowWindowHeight : 1;
-  const WindowedCsr windows = BuildWindows(m, height);
+std::vector<double> PredictedWindowCostNs(const std::vector<RowWindow>& windows,
+                                          const ShardingOptions& options) {
   std::vector<double> costs;
-  costs.reserve(windows.windows.size());
-  for (const RowWindow& w : windows.windows) {
+  costs.reserve(windows.size());
+  for (const RowWindow& w : windows) {
     const WindowShape shape = w.Shape(options.cost_dim);
     if (options.cost_model != nullptr) {
       costs.push_back(options.cost_model->PredictRoutedNs(shape));

@@ -1,27 +1,28 @@
-// Row-disjoint CSR partitioning for multi-graph sharding: split one sparse
-// operator into K contiguous row ranges balanced by nnz, each materialized
-// as its own CSR so it gets its own HybridPlan (and its own PlanCache entry)
-// and can run on its own Session. Contiguous ranges make the decomposition
-// merge-free: row r of the product Abar * X is owned by exactly one shard,
-// so shard outputs scatter into disjoint row slices of the final result and
-// no reduction step exists. Per-row fp32 summation order is untouched by
-// the split, so sharded results are bit-identical to the unsharded path.
+// Row-window sharding: split one matrix's row windows into K contiguous
+// window ranges balanced by nnz (or by predicted window cost). HC-SpMM
+// windows write disjoint output rows (SS IV-A), so a shard is just a run of
+// one plan's windows: it writes its rows straight into the shared output,
+// and no per-shard matrix, plan or merge step exists. Per-row fp32
+// summation order is untouched by a split at window boundaries, so sharded
+// results are bit-identical to the unsharded path.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/row_window.h"
 #include "gpusim/device.h"
 #include "sparse/csr.h"
-#include "util/status.h"
 
 namespace hcspmm {
 
 struct CalibratedCostModel;
 
-/// One shard's row ownership: rows [row_begin, row_end) of the original
-/// matrix (and of the product), carrying `nnz` nonzeros.
+/// One shard: windows [window_begin, window_end) of the plan, which own
+/// output rows [row_begin, row_end) and carry `nnz` nonzeros.
 struct ShardRange {
+  int32_t window_begin = 0;
+  int32_t window_end = 0;
   int32_t row_begin = 0;
   int32_t row_end = 0;
   int64_t nnz = 0;
@@ -29,86 +30,49 @@ struct ShardRange {
   int32_t NumRows() const { return row_end - row_begin; }
 };
 
-/// Configuration for GraphPartitioner.
+/// Configuration for SessionOptions::set_sharding.
 struct ShardingOptions {
-  /// Requested shard count. Clamped to [1, available split units]: a value
-  /// <= 0 means 1, and K greater than the number of rows (or row windows,
-  /// when aligned) degrades gracefully to one unit per shard.
+  /// Requested shard count. Clamped to [1, number of row windows]: a value
+  /// <= 0 means 1, and K greater than the window count degrades gracefully
+  /// to one window per shard.
   int num_shards = 1;
-  /// Locality-preserving split: snap shard boundaries to multiples of the
-  /// row-window height (kRowWindowHeight) so no window of the unsharded
-  /// plan is cut in half — every shard's windowing (and thus its condensed
-  /// column layout and core routing) tiles exactly like the original
-  /// plan's. Off, boundaries fall on arbitrary rows for the tightest nnz
-  /// balance.
-  bool align_to_windows = true;
-  /// Cost-driven balancing: weight each split unit by its predicted
-  /// routed window cost (cheaper of the two core paths) instead of its raw
-  /// nnz. Equal-nnz shards are not equal-time shards — a dense-window shard
-  /// routes to Tensor cores and finishes sooner than a scattered shard of
-  /// the same nnz — so balancing predicted time tightens the sync barrier.
-  /// Boundaries still fall on whole units, so shard results stay
-  /// bit-identical to the unsharded path regardless of the weights.
+  /// Cost-driven balancing: weight each window by its predicted routed cost
+  /// (cheaper of the two core paths) instead of its raw nnz. Equal-nnz
+  /// shards are not equal-time shards — a dense-window shard routes to
+  /// Tensor cores and finishes sooner than a scattered shard of the same
+  /// nnz — so balancing predicted time tightens the join. Boundaries still
+  /// fall between whole windows, so results stay bit-identical.
   bool balance_by_cost = false;
-  /// Dense dimension / dtype / device the per-unit cost is predicted for
+  /// Dense dimension / dtype / device the per-window cost is predicted for
   /// (only read when balance_by_cost is set).
   int32_t cost_dim = 32;
   DataType cost_dtype = DataType::kTf32;
   DeviceSpec cost_device = Rtx3090();
   /// Predictor for cost-driven balancing: a calibration artifact
   /// (calib/calibrated_model.h), or nullptr to fall back to the hand-set
-  /// analytic cost model. Not owned; must outlive the partitioner calls.
+  /// analytic cost model. Not owned; must outlive the sessions using it.
   const CalibratedCostModel* cost_model = nullptr;
-  /// Streaming rebalance trigger: after ShardedSession::ApplyDeltas, the
-  /// partition is rebuilt when max shard nnz exceeds `rebalance_threshold`
-  /// times the mean shard nnz (drifted balance wastes the sync barrier).
-  /// Values <= 1.0 repartition after every batch that changes nnz; large
-  /// values effectively never repartition.
+  /// Streaming rebalance trigger: after Session::ApplyDeltas the range
+  /// boundaries are recomputed from the patched plan when max shard nnz
+  /// exceeds `rebalance_threshold` times the mean shard nnz. Values <= 1.0
+  /// rebalance after every batch that changes nnz; large values never do.
   double rebalance_threshold = 1.5;
 };
 
-/// A partitioned CSR: `shards[i]` is a standalone (ranges[i].NumRows() x
-/// cols) CSR holding exactly the rows of `ranges[i]`, with row_ptr rebased
-/// to 0. The ranges tile [0, rows) in order with no gaps or overlaps.
-struct GraphPartition {
-  int32_t rows = 0;
-  int32_t cols = 0;
-  std::vector<ShardRange> ranges;
-  std::vector<CsrMatrix> shards;
+/// Split `windows` — the kRowWindowHeight-row windows of `m`, tiling its
+/// rows in order (a HybridPlan's windowing) — into options.num_shards
+/// contiguous ranges (clamped as documented there). Boundary i targets the
+/// prefix-nnz (or prefix-cost) quantile (i+1)/K, rounded to the nearest
+/// window boundary, and every shard keeps at least one window. Empty
+/// `windows` yield no ranges.
+std::vector<ShardRange> PartitionWindows(const CsrMatrix& m,
+                                         const std::vector<RowWindow>& windows,
+                                         const ShardingOptions& options);
 
-  int NumShards() const { return static_cast<int>(ranges.size()); }
-};
-
-/// \brief Splits a CSR into K row-disjoint shards balanced by nnz.
-class GraphPartitioner {
- public:
-  explicit GraphPartitioner(const ShardingOptions& options) : options_(options) {}
-
-  /// Partition `m` into EffectiveShardCount(...) contiguous row ranges whose
-  /// nnz counts are greedily balanced toward nnz/K each, and materialize one
-  /// CSR per range. A 0-row matrix yields a single empty shard.
-  GraphPartition Partition(const CsrMatrix& m) const;
-
-  /// The shard count Partition() will actually produce for a `rows`-row
-  /// matrix: options.num_shards clamped to [1, units] where units is rows
-  /// (or ceil(rows / kRowWindowHeight) when aligning to windows), floored
-  /// at 1 so an empty matrix still yields one (empty) shard.
-  int EffectiveShardCount(int32_t rows) const;
-
-  const ShardingOptions& options() const { return options_; }
-
- private:
-  ShardingOptions options_;
-};
-
-/// Convenience wrapper: GraphPartitioner(options).Partition(m).
-GraphPartition PartitionCsr(const CsrMatrix& m, const ShardingOptions& options);
-
-/// Predicted cost (ns) of every split unit of `m` under `options`'s cost
-/// configuration — the weights cost-driven partitioning balances. Unit i is
-/// row i, or the i-th kRowWindowHeight-row window when aligning to windows.
-/// Exposed for tests and placement diagnostics.
-std::vector<double> PredictedUnitCostNs(const CsrMatrix& m,
-                                        const ShardingOptions& options);
+/// Predicted cost (ns) of every window under `options`'s cost configuration
+/// — the weights cost-driven partitioning balances. Exposed for tests and
+/// placement diagnostics.
+std::vector<double> PredictedWindowCostNs(const std::vector<RowWindow>& windows,
+                                          const ShardingOptions& options);
 
 }  // namespace hcspmm

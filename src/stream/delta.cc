@@ -111,22 +111,6 @@ std::vector<int32_t> DeltaBatch::DirtyRows() const {
   return rows;
 }
 
-DeltaBatch DeltaBatch::Slice(int32_t row_begin, int32_t row_end) const {
-  auto slice = [&](const std::vector<EdgeDelta>& deltas) {
-    std::vector<EdgeDelta> out;
-    for (const EdgeDelta& e : deltas) {
-      if (e.row >= row_begin && e.row < row_end) {
-        out.push_back({e.row - row_begin, e.col, e.val});
-      }
-    }
-    return out;
-  };
-  DeltaBatch batch;
-  batch.upserts_ = slice(upserts_);
-  batch.deletes_ = slice(deletes_);
-  return batch;
-}
-
 Result<CsrMatrix> ApplyDeltasToCsr(const CsrMatrix& base, const DeltaBatch& batch,
                                    DeltaApplyStats* stats) {
   HCSPMM_RETURN_NOT_OK(batch.CheckBounds(base.rows(), base.cols()));

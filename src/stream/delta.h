@@ -22,7 +22,7 @@ struct EdgeDelta {
 };
 
 /// Counters describing one applied delta batch, filled by the layers that
-/// consume it (Session / ShardedSession / SessionPool) and surfaced in the
+/// consume it (Session / SessionPool) and surfaced in the
 /// streaming bench artifact.
 struct DeltaApplyStats {
   uint64_t version = 0;       ///< plan version published by this batch
@@ -32,7 +32,7 @@ struct DeltaApplyStats {
   int64_t total_windows = 0;  ///< row windows in the plan
   int64_t dirty_windows = 0;  ///< windows rebuilt by the patch
   bool repacked = false;      ///< packed-index sidecar was re-encoded
-  bool repartitioned = false; ///< sharded layer rebalanced its partition
+  bool repartitioned = false; ///< a sharded session moved its range boundaries
   double apply_ms = 0.0;      ///< wall-clock of the apply (CSR merge + plan patch)
 };
 
@@ -66,12 +66,6 @@ class DeltaBatch {
 
   /// Sorted distinct row ids touched by the batch.
   std::vector<int32_t> DirtyRows() const;
-
-  /// The sub-batch whose rows fall in [row_begin, row_end), with rows
-  /// rebased by -row_begin. Used by ShardedSession to route row-disjoint
-  /// slices to the owning shard. Columns are untouched (shards keep the
-  /// full column space).
-  DeltaBatch Slice(int32_t row_begin, int32_t row_end) const;
 
  private:
   DeltaBatch() = default;

@@ -103,8 +103,9 @@ struct FaultOptions {
 /// \brief Seeded, deterministic fault injector for the simulated device
 /// dispatch path.
 ///
-/// A "scope" identifies one fault domain — one Session (per-shard sessions
-/// get distinct scopes), so a sharded multiply can lose exactly one shard.
+/// A "scope" identifies one fault domain — one Session, or one shard of a
+/// sharded Session (shard i draws from scope + i), so a sharded multiply can
+/// lose exactly one shard.
 /// Each scope draws from its own Pcg32 stream with a fixed draw order (fault
 /// draw, then straggler draw, every dispatch), so the decision for dispatch
 /// N of scope S depends only on (seed, S, N) — never on thread interleaving
@@ -178,8 +179,8 @@ struct RetryPolicy {
   int64_t BackoffUs(int attempt, uint64_t scope) const;
 };
 
-/// \brief Per-call execution controls threaded through Session/ShardedSession
-/// multiply entry points. Default-constructed == no cancellation, no retry.
+/// \brief Per-call execution controls threaded through the Session multiply
+/// entry points. Default-constructed == no cancellation, no retry.
 struct ExecControls {
   std::shared_ptr<CancelToken> cancel;
   RetryPolicy retry;

@@ -16,7 +16,6 @@
 #include "exec/plan_cache.h"
 #include "runtime/runtime.h"
 #include "shard/partitioner.h"
-#include "shard/sharded_session.h"
 #include "sparse/generate.h"
 #include "sparse/reference.h"
 #include "util/random.h"
@@ -236,41 +235,39 @@ TEST(CalibratedSessionTest, InjectedSelectorKeepsFp32BitIdentity) {
   EXPECT_EQ(z.MaxAbsDifference(z_ref), 0.0);
 }
 
-TEST(CostDrivenPartitionTest, UnitCostsMatchUnitCount) {
+TEST(CostDrivenPartitionTest, WindowCostsMatchWindowCount) {
   const CsrMatrix a = TestMatrix(6, /*rows=*/100);
+  const std::vector<RowWindow> windows = BuildWindows(a).windows;
   ShardingOptions options;
   options.balance_by_cost = true;
-  const std::vector<double> aligned = PredictedUnitCostNs(a, options);
-  EXPECT_EQ(aligned.size(), 7u);  // ceil(100 / 16)
-  for (double c : aligned) EXPECT_GT(c, 0.0);
-
-  options.align_to_windows = false;
-  EXPECT_EQ(PredictedUnitCostNs(a, options).size(), 100u);
+  const std::vector<double> analytic = PredictedWindowCostNs(windows, options);
+  EXPECT_EQ(analytic.size(), 7u);  // ceil(100 / 16)
+  for (double c : analytic) EXPECT_GT(c, 0.0);
 
   // The calibrated predictor swaps in transparently.
-  options.align_to_windows = true;
   options.cost_model = &FastReport().model;
-  const std::vector<double> calibrated = PredictedUnitCostNs(a, options);
-  EXPECT_EQ(calibrated.size(), aligned.size());
+  const std::vector<double> calibrated = PredictedWindowCostNs(windows, options);
+  EXPECT_EQ(calibrated.size(), analytic.size());
   for (double c : calibrated) EXPECT_GT(c, 0.0);
 }
 
-TEST(CostDrivenPartitionTest, RangesTileAndRespectUnits) {
+TEST(CostDrivenPartitionTest, RangesTileAndRespectWindows) {
   const CsrMatrix a = TestMatrix(7, /*rows=*/400, /*density=*/0.03);
+  const std::vector<RowWindow> windows = BuildWindows(a).windows;
   for (const bool use_model : {false, true}) {
     for (const int k : {2, 3, 4}) {
       ShardingOptions options;
       options.num_shards = k;
       options.balance_by_cost = true;
       if (use_model) options.cost_model = &FastReport().model;
-      const GraphPartition part = PartitionCsr(a, options);
-      ASSERT_EQ(part.NumShards(), k);
+      const std::vector<ShardRange> ranges = PartitionWindows(a, windows, options);
+      ASSERT_EQ(ranges.size(), static_cast<size_t>(k));
       int32_t expected_begin = 0;
       int64_t total_nnz = 0;
-      for (const ShardRange& range : part.ranges) {
+      for (const ShardRange& range : ranges) {
         EXPECT_EQ(range.row_begin, expected_begin);
         EXPECT_GT(range.row_end, range.row_begin);
-        EXPECT_EQ(range.row_begin % kRowWindowHeight, 0);  // aligned mode
+        EXPECT_EQ(range.row_begin, range.window_begin * kRowWindowHeight);
         expected_begin = range.row_end;
         total_nnz += range.nnz;
       }
@@ -299,9 +296,9 @@ TEST(CostDrivenPartitionTest, ShardedResultsStayBitIdenticalToUnsharded) {
       sharding.num_shards = k;
       sharding.balance_by_cost = true;
       if (use_model) sharding.cost_model = &FastReport().model;
-      auto sharded = ShardedSession::Open(&runtime, a, options, sharding);
+      auto sharded = runtime.OpenSession(&a, SessionOptions(options).set_sharding(sharding));
       ASSERT_TRUE(sharded->WaitReady().ok());
-      EXPECT_EQ(sharded->num_shards(), k);
+      EXPECT_EQ(sharded->CurrentVersion()->shards.size(), static_cast<size_t>(k));
       DenseMatrix z;
       ASSERT_TRUE(sharded->Multiply(x, &z, nullptr).ok());
       EXPECT_EQ(z.MaxAbsDifference(z_ref), 0.0)

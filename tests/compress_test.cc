@@ -17,7 +17,7 @@
 #include "gpusim/device.h"
 #include "graph/generators.h"
 #include "runtime/runtime.h"
-#include "shard/sharded_session.h"
+#include "shard/partitioner.h"
 #include "sparse/generate.h"
 #include "sparse/packed_csr.h"
 #include "util/cpu_features.h"
@@ -211,9 +211,7 @@ TEST(CompressedSpmmTest, BitIdenticalAcrossShardCounts) {
   for (int k : {1, 2, 4, 7}) {
     ShardingOptions sharding;
     sharding.num_shards = k;
-    auto sharded = ShardedSession::Open(Runtime::Default(), abar,
-                                        Fp32Options().set_compress_indices(true),
-                                        sharding);
+    auto sharded = Runtime::Default()->OpenSession(&abar, Fp32Options().set_compress_indices(true).set_sharding(sharding));
     ASSERT_TRUE(sharded->WaitReady().ok()) << "K=" << k;
     DenseMatrix z;
     ASSERT_TRUE(sharded->Multiply(x, &z, nullptr).ok());

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,14 +14,28 @@
 #include "core/preprocess.h"
 #include "exec/plan_cache.h"
 #include "exec/thread_pool.h"
-#include "gnn/spmm_engine.h"
 #include "kernels/spmm_kernel.h"
+#include "runtime/runtime.h"
 #include "sparse/generate.h"
 #include "sparse/reference.h"
 #include "util/random.h"
 
 namespace hcspmm {
 namespace {
+
+// A session on the default runtime, waited ready before it is returned.
+std::shared_ptr<Session> OpenReady(const std::string& kernel, const CsrMatrix* abar,
+                                   const DeviceSpec& dev, DataType dtype,
+                                   int num_threads = 0) {
+  std::shared_ptr<Session> session = Runtime::Default()->OpenSession(
+      abar, SessionOptions()
+                .set_kernel(kernel)
+                .set_device(dev)
+                .set_dtype(dtype)
+                .set_num_threads(num_threads));
+  (void)session->WaitReady();
+  return session;
+}
 
 // ---------------------------------------------------------------------------
 // ThreadPool
@@ -148,7 +164,7 @@ CsrMatrix TestMatrix(uint64_t seed, int32_t rows = 96, double density = 0.08) {
 std::shared_ptr<const HybridPlan> BuildPlan(const CsrMatrix& m, const DeviceSpec& dev) {
   auto plan = Preprocess(m, dev, DefaultSelectorModelFor(dev.name));
   EXPECT_TRUE(plan.ok());
-  plan.ValueOrDie().windows.csr = nullptr;  // detach, as SpmmEngine does
+  plan.ValueOrDie().windows.csr = nullptr;  // detach, as Session does
   return std::make_shared<const HybridPlan>(std::move(plan.ValueOrDie()));
 }
 
@@ -185,10 +201,12 @@ TEST(PlanCacheTest, KeyDistinguishesDeviceParametersNotJustName) {
   EXPECT_FALSE(stock == MakePlanCacheKey(a, tweaked, DataType::kTf32));
 
   PlanCache::Global()->Clear();
-  SpmmEngine e1("hcspmm", &a, Rtx3090(), DataType::kTf32);
-  SpmmEngine e2("hcspmm", &a, tweaked, DataType::kTf32);
-  EXPECT_FALSE(e2.plan_from_cache());
-  EXPECT_GT(e2.PreprocessNs(), 0.0);
+  const std::shared_ptr<Session> e1 =
+      OpenReady("hcspmm", &a, Rtx3090(), DataType::kTf32);
+  const std::shared_ptr<Session> e2 =
+      OpenReady("hcspmm", &a, tweaked, DataType::kTf32);
+  EXPECT_FALSE(e2->plan_from_cache());
+  EXPECT_GT(e2->PreprocessNs(), 0.0);
 }
 
 TEST(PlanCacheTest, FingerprintCollisionsDisambiguatedByShape) {
@@ -317,64 +335,71 @@ TEST(PlanCacheTest, ShrinkingBudgetEvicts) {
 }
 
 // ---------------------------------------------------------------------------
-// SpmmEngine integration: plan reuse, batch API, error surfacing
+// Session integration: plan reuse, batch API, error surfacing
 
-TEST(SpmmEngineCacheTest, SecondConstructionHitsPlanCache) {
+TEST(SessionPlanReuseTest, SecondConstructionHitsPlanCache) {
   PlanCache::Global()->Clear();
   const CsrMatrix m1 = TestMatrix(11, /*rows=*/200);
   const CsrMatrix m2 = m1;  // same content, different object
   const DeviceSpec dev = Rtx3090();
 
-  SpmmEngine e1("hcspmm", &m1, dev, DataType::kTf32);
-  ASSERT_TRUE(e1.status().ok());
-  EXPECT_FALSE(e1.plan_from_cache());
-  EXPECT_GT(e1.PreprocessNs(), 0.0);
+  const std::shared_ptr<Session> e1 =
+      OpenReady("hcspmm", &m1, dev, DataType::kTf32);
+  ASSERT_TRUE(e1->WaitReady().ok());
+  EXPECT_FALSE(e1->plan_from_cache());
+  EXPECT_GT(e1->PreprocessNs(), 0.0);
 
-  SpmmEngine e2("hcspmm", &m2, dev, DataType::kTf32);
-  ASSERT_TRUE(e2.status().ok());
-  EXPECT_TRUE(e2.plan_from_cache());
-  EXPECT_DOUBLE_EQ(e2.PreprocessNs(), 0.0);  // nothing rebuilt: cache hit
-  EXPECT_EQ(e1.plan(), e2.plan());           // literally the same shared plan
+  const std::shared_ptr<Session> e2 =
+      OpenReady("hcspmm", &m2, dev, DataType::kTf32);
+  ASSERT_TRUE(e2->WaitReady().ok());
+  EXPECT_TRUE(e2->plan_from_cache());
+  EXPECT_DOUBLE_EQ(e2->PreprocessNs(), 0.0);  // nothing rebuilt: cache hit
+  EXPECT_EQ(e1->plan(), e2->plan());           // literally the same shared plan
 
   // The cached plan computes the same result even though m1's engine built it.
   Pcg32 rng(77);
   DenseMatrix x = GenerateDense(m1.cols(), 24, &rng);
   DenseMatrix z1, z2;
-  ASSERT_TRUE(e1.Multiply(x, &z1, nullptr).ok());
-  ASSERT_TRUE(e2.Multiply(x, &z2, nullptr).ok());
+  ASSERT_TRUE(e1->Multiply(x, &z1, nullptr).ok());
+  ASSERT_TRUE(e2->Multiply(x, &z2, nullptr).ok());
   EXPECT_EQ(z1.MaxAbsDifference(z2), 0.0);
 }
 
-TEST(SpmmEngineCacheTest, CachedPlanSurvivesSourceMatrixDestruction) {
+TEST(SessionPlanReuseTest, CachedPlanSurvivesSourceMatrixDestruction) {
   PlanCache::Global()->Clear();
   const CsrMatrix keeper = TestMatrix(12, /*rows=*/150);
   {
     const CsrMatrix original = keeper;
-    SpmmEngine warmup("hcspmm", &original, Rtx3090(), DataType::kTf32);
-    ASSERT_TRUE(warmup.status().ok());
+    const std::shared_ptr<Session> warmup =
+      OpenReady("hcspmm", &original, Rtx3090(), DataType::kTf32);
+    ASSERT_TRUE(warmup->WaitReady().ok());
   }  // `original` destroyed; the cached plan must not dangle
-  SpmmEngine engine("hcspmm", &keeper, Rtx3090(), DataType::kTf32);
-  ASSERT_TRUE(engine.status().ok());
-  EXPECT_TRUE(engine.plan_from_cache());
+  const std::shared_ptr<Session> engine =
+      OpenReady("hcspmm", &keeper, Rtx3090(), DataType::kTf32);
+  ASSERT_TRUE(engine->WaitReady().ok());
+  EXPECT_TRUE(engine->plan_from_cache());
   Pcg32 rng(5);
   DenseMatrix x = GenerateDense(keeper.cols(), 16, &rng);
   DenseMatrix z;
   KernelProfile prof;
-  ASSERT_TRUE(engine.Multiply(x, &z, &prof).ok());
+  ASSERT_TRUE(engine->Multiply(x, &z, &prof).ok());
   EXPECT_EQ(z.MaxAbsDifference(ReferenceSpmm(keeper, x)), 0.0);
 }
 
-TEST(SpmmEngineCacheTest, DifferentDeviceOrDtypeRebuilds) {
+TEST(SessionPlanReuseTest, DifferentDeviceOrDtypeRebuilds) {
   PlanCache::Global()->Clear();
   const CsrMatrix m = TestMatrix(13, /*rows=*/150);
-  SpmmEngine e1("hcspmm", &m, Rtx3090(), DataType::kTf32);
-  SpmmEngine e2("hcspmm", &m, Rtx4090(), DataType::kTf32);
-  SpmmEngine e3("hcspmm", &m, Rtx3090(), DataType::kFp16);
-  EXPECT_FALSE(e1.plan_from_cache());
-  EXPECT_FALSE(e2.plan_from_cache());
-  EXPECT_FALSE(e3.plan_from_cache());
-  EXPECT_GT(e2.PreprocessNs(), 0.0);
-  EXPECT_GT(e3.PreprocessNs(), 0.0);
+  const std::shared_ptr<Session> e1 =
+      OpenReady("hcspmm", &m, Rtx3090(), DataType::kTf32);
+  const std::shared_ptr<Session> e2 =
+      OpenReady("hcspmm", &m, Rtx4090(), DataType::kTf32);
+  const std::shared_ptr<Session> e3 =
+      OpenReady("hcspmm", &m, Rtx3090(), DataType::kFp16);
+  EXPECT_FALSE(e1->plan_from_cache());
+  EXPECT_FALSE(e2->plan_from_cache());
+  EXPECT_FALSE(e3->plan_from_cache());
+  EXPECT_GT(e2->PreprocessNs(), 0.0);
+  EXPECT_GT(e3->PreprocessNs(), 0.0);
 }
 
 TEST(HcSpmmPlanValidationTest, RejectsSameShapeMatrixWithDifferentDistribution) {
@@ -411,31 +436,33 @@ TEST(HcSpmmPlanValidationTest, RejectsSameShapeMatrixWithDifferentDistribution) 
   EXPECT_EQ(mismatch.code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SpmmEngineTest, UnknownKernelSurfacesStatusInsteadOfCrashing) {
+TEST(SessionSyncApiTest, UnknownKernelSurfacesStatusInsteadOfCrashing) {
   const CsrMatrix m = TestMatrix(14);
-  SpmmEngine engine("definitely_not_a_kernel", &m, Rtx3090(), DataType::kTf32);
-  EXPECT_FALSE(engine.status().ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+  const std::shared_ptr<Session> engine =
+      OpenReady("definitely_not_a_kernel", &m, Rtx3090(), DataType::kTf32);
+  EXPECT_FALSE(engine->WaitReady().ok());
+  EXPECT_EQ(engine->WaitReady().code(), StatusCode::kInvalidArgument);
   // The diagnostic names the offender and lists what *is* registered.
-  EXPECT_NE(engine.status().message().find("definitely_not_a_kernel"),
+  EXPECT_NE(engine->WaitReady().message().find("definitely_not_a_kernel"),
             std::string::npos);
-  EXPECT_NE(engine.status().message().find("hcspmm"), std::string::npos);
-  EXPECT_NE(engine.status().message().find("cuda_basic"), std::string::npos);
+  EXPECT_NE(engine->WaitReady().message().find("hcspmm"), std::string::npos);
+  EXPECT_NE(engine->WaitReady().message().find("cuda_basic"), std::string::npos);
 
   Pcg32 rng(1);
   DenseMatrix x = GenerateDense(m.cols(), 8, &rng);
   DenseMatrix z;
-  Status st = engine.Multiply(x, &z, nullptr);
+  Status st = engine->Multiply(x, &z, nullptr);
   EXPECT_FALSE(st.ok());
   std::vector<DenseMatrix> zs;
-  EXPECT_FALSE(engine.MultiplyBatch({&x}, &zs, nullptr).ok());
+  EXPECT_FALSE(engine->MultiplyBatch({&x}, &zs, nullptr).ok());
 }
 
-TEST(SpmmEngineTest, MultiplyBatchMatchesIndividualMultiplies) {
+TEST(SessionSyncApiTest, MultiplyBatchMatchesIndividualMultiplies) {
   PlanCache::Global()->Clear();
   const CsrMatrix m = TestMatrix(15, /*rows=*/180);
-  SpmmEngine engine("hcspmm", &m, Rtx3090(), DataType::kTf32);
-  ASSERT_TRUE(engine.status().ok());
+  const std::shared_ptr<Session> engine =
+      OpenReady("hcspmm", &m, Rtx3090(), DataType::kTf32);
+  ASSERT_TRUE(engine->WaitReady().ok());
 
   Pcg32 rng(21);
   std::vector<DenseMatrix> inputs;
@@ -446,13 +473,13 @@ TEST(SpmmEngineTest, MultiplyBatchMatchesIndividualMultiplies) {
 
   std::vector<DenseMatrix> zs;
   KernelProfile batch_profile;
-  ASSERT_TRUE(engine.MultiplyBatch(xs, &zs, &batch_profile).ok());
+  ASSERT_TRUE(engine->MultiplyBatch(xs, &zs, &batch_profile).ok());
   ASSERT_EQ(zs.size(), xs.size());
 
   KernelProfile individual_profile;
   for (size_t i = 0; i < xs.size(); ++i) {
     DenseMatrix expected;
-    ASSERT_TRUE(engine.Multiply(*xs[i], &expected, &individual_profile).ok());
+    ASSERT_TRUE(engine->Multiply(*xs[i], &expected, &individual_profile).ok());
     EXPECT_EQ(zs[i].MaxAbsDifference(expected), 0.0) << "batch item " << i;
   }
   // Metering is deterministic: the batch profile equals the serial sum.
@@ -460,13 +487,14 @@ TEST(SpmmEngineTest, MultiplyBatchMatchesIndividualMultiplies) {
   EXPECT_EQ(batch_profile.launches, individual_profile.launches);
 }
 
-TEST(SpmmEngineTest, MultiplyBatchAllowsAliasingOutputsAsInputs) {
+TEST(SessionSyncApiTest, MultiplyBatchAllowsAliasingOutputsAsInputs) {
   // Square operator, so outputs can feed back in as the next layer's inputs
   // using the same vector for zs — must not read freed matrices.
   PlanCache::Global()->Clear();
   const CsrMatrix m = TestMatrix(17, /*rows=*/128);
-  SpmmEngine engine("hcspmm", &m, Rtx3090(), DataType::kFp32);
-  ASSERT_TRUE(engine.status().ok());
+  const std::shared_ptr<Session> engine =
+      OpenReady("hcspmm", &m, Rtx3090(), DataType::kFp32);
+  ASSERT_TRUE(engine->WaitReady().ok());
 
   Pcg32 rng(9);
   std::vector<DenseMatrix> buffers;
@@ -475,25 +503,26 @@ TEST(SpmmEngineTest, MultiplyBatchAllowsAliasingOutputsAsInputs) {
   DenseMatrix expected0, expected1;
   {
     DenseMatrix tmp;
-    ASSERT_TRUE(engine.Multiply(buffers[0], &tmp, nullptr).ok());
-    ASSERT_TRUE(engine.Multiply(tmp, &expected0, nullptr).ok());
-    ASSERT_TRUE(engine.Multiply(buffers[1], &tmp, nullptr).ok());
-    ASSERT_TRUE(engine.Multiply(tmp, &expected1, nullptr).ok());
+    ASSERT_TRUE(engine->Multiply(buffers[0], &tmp, nullptr).ok());
+    ASSERT_TRUE(engine->Multiply(tmp, &expected0, nullptr).ok());
+    ASSERT_TRUE(engine->Multiply(buffers[1], &tmp, nullptr).ok());
+    ASSERT_TRUE(engine->Multiply(tmp, &expected1, nullptr).ok());
   }
   for (int layer = 0; layer < 2; ++layer) {
     std::vector<const DenseMatrix*> xs{&buffers[0], &buffers[1]};
-    ASSERT_TRUE(engine.MultiplyBatch(xs, &buffers, nullptr).ok());  // aliased
+    ASSERT_TRUE(engine->MultiplyBatch(xs, &buffers, nullptr).ok());  // aliased
   }
   EXPECT_EQ(buffers[0].MaxAbsDifference(expected0), 0.0);
   EXPECT_EQ(buffers[1].MaxAbsDifference(expected1), 0.0);
 }
 
-TEST(SpmmEngineTest, MultiplyBatchRejectsNullInputs) {
+TEST(SessionSyncApiTest, MultiplyBatchRejectsNullInputs) {
   const CsrMatrix m = TestMatrix(16);
-  SpmmEngine engine("cuda_basic", &m, Rtx3090(), DataType::kTf32);
+  const std::shared_ptr<Session> engine =
+      OpenReady("cuda_basic", &m, Rtx3090(), DataType::kTf32);
   std::vector<DenseMatrix> zs;
-  EXPECT_FALSE(engine.MultiplyBatch({nullptr}, &zs, nullptr).ok());
-  EXPECT_TRUE(engine.MultiplyBatch({}, &zs, nullptr).ok());  // empty batch is OK
+  EXPECT_FALSE(engine->MultiplyBatch({nullptr}, &zs, nullptr).ok());
+  EXPECT_TRUE(engine->MultiplyBatch({}, &zs, nullptr).ok());  // empty batch is OK
   EXPECT_TRUE(zs.empty());
 }
 
@@ -539,15 +568,17 @@ TEST(DeterminismTest, ThreadCountDoesNotChangeRoundedResultsEither) {
 TEST(DeterminismTest, SimulatedProfileIndependentOfThreadCount) {
   PlanCache::Global()->Clear();
   const CsrMatrix m = TestMatrix(33, /*rows=*/220);
-  SpmmEngine serial_engine("hcspmm", &m, Rtx3090(), DataType::kTf32, /*num_threads=*/1);
-  SpmmEngine parallel_engine("hcspmm", &m, Rtx3090(), DataType::kTf32,
+  const std::shared_ptr<Session> serial_engine =
+      OpenReady("hcspmm", &m, Rtx3090(), DataType::kTf32, /*num_threads=*/1);
+  const std::shared_ptr<Session> parallel_engine =
+      OpenReady("hcspmm", &m, Rtx3090(), DataType::kTf32,
                              /*num_threads=*/8);
   Pcg32 rng(3);
   DenseMatrix x = GenerateDense(m.cols(), 32, &rng);
   DenseMatrix z1, z8;
   KernelProfile p1, p8;
-  ASSERT_TRUE(serial_engine.Multiply(x, &z1, &p1).ok());
-  ASSERT_TRUE(parallel_engine.Multiply(x, &z8, &p8).ok());
+  ASSERT_TRUE(serial_engine->Multiply(x, &z1, &p1).ok());
+  ASSERT_TRUE(parallel_engine->Multiply(x, &z8, &p8).ok());
   EXPECT_DOUBLE_EQ(p1.time_ns, p8.time_ns);
   EXPECT_EQ(p1.blocks, p8.blocks);
   EXPECT_EQ(z1.MaxAbsDifference(z8), 0.0);

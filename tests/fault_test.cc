@@ -20,7 +20,7 @@
 
 #include "runtime/runtime.h"
 #include "serve/server.h"
-#include "shard/sharded_session.h"
+#include "shard/partitioner.h"
 #include "sparse/generate.h"
 #include "stream/delta.h"
 #include "util/fault.h"
@@ -294,42 +294,32 @@ TEST(ChaosMatrixTest, AllConfigurationsSurviveFaultsBitIdentically) {
 
   struct Config {
     const char* name;
-    int shards;        // 1 = plain Session
+    int shards;        // window ranges of the one plan (1 = unsharded)
     bool packed;       // compressed CSR indices
     bool patch_first;  // ApplyDeltas before multiplying
   };
   const Config configs[] = {
-      {"plain", 1, false, false},       {"sharded2", 2, false, false},
-      {"sharded4", 4, false, false},    {"packed", 1, true, false},
-      {"streaming_patched", 1, false, true},
+      {"plain", 1, false, false},           {"sharded2", 2, false, false},
+      {"sharded4", 4, false, false},        {"packed", 1, true, false},
+      {"streaming_patched", 1, false, true}, {"sharded3_patched", 3, false, true},
   };
   for (const Config& cfg : configs) {
     SCOPED_TRACE(cfg.name);
     auto injector = MakeInjector(0.3, /*straggler_rate=*/0.1, /*straggler_us=*/50);
-    SessionOptions opts = Fp32().set_fault_injector(injector);
+    ShardingOptions sharding;
+    sharding.num_shards = cfg.shards;
+    SessionOptions opts = Fp32().set_fault_injector(injector).set_sharding(sharding);
     if (cfg.packed) opts.set_compress_indices(true);
     const DenseMatrix& want = cfg.patch_first ? clean_patched : clean;
-    if (cfg.shards > 1) {
-      ShardingOptions sharding;
-      sharding.num_shards = cfg.shards;
-      auto sharded = ShardedSession::Open(&rt, abar, opts, sharding);
-      for (int i = 0; i < 4; ++i) {
-        DenseMatrix z;
-        Status st = sharded->Multiply(x, &z, nullptr, ctl);
-        ASSERT_TRUE(st.ok()) << st.ToString();
-        EXPECT_TRUE(BitIdentical(want, z));
-      }
-    } else {
-      auto session = rt.OpenSession(&abar, opts);
-      if (cfg.patch_first) {
-        ASSERT_TRUE(session->ApplyDeltas(deltas.ValueOrDie()).ok());
-      }
-      for (int i = 0; i < 4; ++i) {
-        DenseMatrix z;
-        Status st = session->Multiply(x, &z, nullptr, ctl);
-        ASSERT_TRUE(st.ok()) << st.ToString();
-        EXPECT_TRUE(BitIdentical(want, z));
-      }
+    auto session = rt.OpenSession(&abar, opts);
+    if (cfg.patch_first) {
+      ASSERT_TRUE(session->ApplyDeltas(deltas.ValueOrDie()).ok());
+    }
+    for (int i = 0; i < 4; ++i) {
+      DenseMatrix z;
+      Status st = session->Multiply(x, &z, nullptr, ctl);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_TRUE(BitIdentical(want, z));
     }
   }
 }

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -13,12 +15,27 @@
 #include "gnn/gin.h"
 #include "gnn/trainer.h"
 #include "graph/generators.h"
+#include "runtime/runtime.h"
 #include "sparse/generate.h"
 #include "sparse/reference.h"
 #include "util/random.h"
 
 namespace hcspmm {
 namespace {
+
+// A session on the default runtime, waited ready before it is returned.
+std::shared_ptr<Session> OpenReady(const std::string& kernel, const CsrMatrix* abar,
+                                   const DeviceSpec& dev, DataType dtype,
+                                   int num_threads = 0) {
+  std::shared_ptr<Session> session = Runtime::Default()->OpenSession(
+      abar, SessionOptions()
+                .set_kernel(kernel)
+                .set_device(dev)
+                .set_dtype(dtype)
+                .set_num_threads(num_threads));
+  (void)session->WaitReady();
+  return session;
+}
 
 Graph TestGraph(int n = 200, uint64_t seed = 11) {
   Pcg32 rng(seed);
@@ -183,9 +200,10 @@ TEST(FusionTest, ApplyFusionNeverGoesNegative) {
 TEST(GcnTest, ForwardShapesAndDeterminism) {
   Graph g = TestGraph();
   CsrMatrix abar = GcnNormalized(g.adjacency);
-  SpmmEngine engine("hcspmm", &abar, Rtx3090(), DataType::kFp32);
+  const std::shared_ptr<Session> engine =
+      OpenReady("hcspmm", &abar, Rtx3090(), DataType::kFp32);
   GnnConfig cfg;
-  GcnModel model(&g, cfg, &engine);
+  GcnModel model(&g, cfg, engine.get());
   PhaseBreakdown t;
   DenseMatrix logits1 = model.Forward(&t);
   EXPECT_EQ(logits1.rows(), g.num_vertices);
@@ -218,11 +236,12 @@ TEST(GcnTest, GcnNormalizationRowsBounded) {
 TEST(GcnTest, WeightGradientMatchesFiniteDifference) {
   Graph g = TestGraph(60, 21);
   CsrMatrix abar = GcnNormalized(g.adjacency);
-  SpmmEngine engine("cuda_opt", &abar, Rtx3090(), DataType::kFp32);
+  const std::shared_ptr<Session> engine =
+      OpenReady("cuda_opt", &abar, Rtx3090(), DataType::kFp32);
   GnnConfig cfg;
   cfg.hidden_dim = 6;
   cfg.learning_rate = 0.0;  // keep weights frozen during Backward's SGD
-  GcnModel model(&g, cfg, &engine);
+  GcnModel model(&g, cfg, engine.get());
 
   // Analytic gradient via a probe: re-run backward with lr>0 and compare
   // the SGD delta against finite differences of the loss.
@@ -233,7 +252,7 @@ TEST(GcnTest, WeightGradientMatchesFiniteDifference) {
 
   GnnConfig cfg2 = cfg;
   cfg2.learning_rate = 1.0;  // delta = -grad exactly
-  GcnModel probe(&g, cfg2, &engine);
+  GcnModel probe(&g, cfg2, engine.get());
   DenseMatrix before = probe.weights()[1];
   DenseMatrix logits = probe.Forward(nullptr);
   DenseMatrix grad;
@@ -246,7 +265,7 @@ TEST(GcnTest, WeightGradientMatchesFiniteDifference) {
     for (int32_t c = 0; c < 2; ++c) {
       const double analytic = before.At(r, c) - after.At(r, c);  // lr * dW
       // Same seed -> same initial weights as `probe` had before Backward.
-      GcnModel m2(&g, cfg, &engine);
+      GcnModel m2(&g, cfg, engine.get());
       m2.mutable_weights()[1] = before;
       // Perturb.
       m2.mutable_weights()[1].At(r, c) += eps;
@@ -262,10 +281,11 @@ TEST(GcnTest, WeightGradientMatchesFiniteDifference) {
 TEST(GcnTest, LossDecreasesOverTraining) {
   Graph g = TestGraph(300, 31);
   CsrMatrix abar = GcnNormalized(g.adjacency);
-  SpmmEngine engine("hcspmm", &abar, Rtx3090(), DataType::kTf32);
+  const std::shared_ptr<Session> engine =
+      OpenReady("hcspmm", &abar, Rtx3090(), DataType::kTf32);
   GnnConfig cfg;
   cfg.learning_rate = 0.3;
-  GcnModel model(&g, cfg, &engine);
+  GcnModel model(&g, cfg, engine.get());
   double first = 0, last = 0;
   for (int e = 0; e < 60; ++e) {
     EpochResult r = model.TrainEpoch();
@@ -293,9 +313,10 @@ TEST(GcnTest, FusionPreservesResultsAndSavesTime) {
 TEST(GinTest, ForwardShapes) {
   Graph g = TestGraph();
   CsrMatrix ahat = GinOperator(g.adjacency);
-  SpmmEngine engine("hcspmm", &ahat, Rtx3090(), DataType::kFp32);
+  const std::shared_ptr<Session> engine =
+      OpenReady("hcspmm", &ahat, Rtx3090(), DataType::kFp32);
   GnnConfig cfg;
-  GinModel model(&g, cfg, &engine);
+  GinModel model(&g, cfg, engine.get());
   PhaseBreakdown t;
   DenseMatrix logits = model.Forward(&t);
   EXPECT_EQ(logits.rows(), g.num_vertices);

@@ -18,18 +18,31 @@
 
 #include "gnn/gcn.h"
 #include "gnn/gin.h"
-#include "gnn/spmm_engine.h"
 #include "gnn/trainer.h"
 #include "graph/generators.h"
 #include "kernels/spmm_kernel.h"
 #include "runtime/runtime.h"
-#include "shard/sharded_session.h"
+#include "shard/partitioner.h"
 #include "sparse/generate.h"
 #include "sparse/reference.h"
 #include "util/random.h"
 
 namespace hcspmm {
 namespace {
+
+// A session on the default runtime, waited ready before it is returned.
+std::shared_ptr<Session> OpenReady(const std::string& kernel, const CsrMatrix* abar,
+                                   const DeviceSpec& dev, DataType dtype,
+                                   int num_threads = 0) {
+  std::shared_ptr<Session> session = Runtime::Default()->OpenSession(
+      abar, SessionOptions()
+                .set_kernel(kernel)
+                .set_device(dev)
+                .set_dtype(dtype)
+                .set_num_threads(num_threads));
+  (void)session->WaitReady();
+  return session;
+}
 
 CsrMatrix TestMatrix(uint64_t seed, int32_t rows = 160, double density = 0.06) {
   Pcg32 rng(seed);
@@ -227,8 +240,9 @@ TEST(RuntimeTest, FirstMultiplyWaitsOnAsyncPreprocessing) {
   Future<DenseMatrix> fut = session->MultiplyAsync(x);
   ASSERT_TRUE(fut.ok());
   DenseMatrix expected;
-  SpmmEngine engine("hcspmm", &m, Rtx3090(), DataType::kTf32, /*num_threads=*/1);
-  ASSERT_TRUE(engine.Multiply(x, &expected, nullptr).ok());
+  const std::shared_ptr<Session> engine =
+      OpenReady("hcspmm", &m, Rtx3090(), DataType::kTf32, /*num_threads=*/1);
+  ASSERT_TRUE(engine->Multiply(x, &expected, nullptr).ok());
   EXPECT_EQ(fut.Get().MaxAbsDifference(expected), 0.0);
 }
 
@@ -270,6 +284,29 @@ CsrMatrix MixedWindowMatrix() {
   }
   return CsrMatrix(sparse.rows(), sparse.cols(), std::move(row_ptr),
                    std::move(col_ind), std::move(val));
+}
+
+TEST(SessionValidationTest, MalformedCsrFailsTheOpenForEveryKernel) {
+  // Out-of-range column, negative column, decreasing row_ptr, row_ptr not
+  // starting at 0: each would make the kernels read out of bounds.
+  const std::vector<CsrMatrix> bad = {
+      CsrMatrix(2, 2, {0, 1, 1}, {50'000'000}, {1.0f}),
+      CsrMatrix(2, 2, {0, 1, 1}, {-1}, {1.0f}),
+      CsrMatrix(2, 2, {0, 2, 1}, {0, 1}, {1.0f, 1.0f}),
+      CsrMatrix(2, 2, {1, 1, 1}, {0}, {1.0f}),
+  };
+  Runtime rt;  // isolated cache: every open is a plan-cache miss
+  const DenseMatrix x(2, 4, 1.0f);
+  for (size_t i = 0; i < bad.size(); ++i) {
+    for (const char* kernel : {"hcspmm", "cuda_opt", "gespmm"}) {
+      SCOPED_TRACE("matrix " + std::to_string(i) + " kernel " + kernel);
+      auto session = rt.OpenSession(&bad[i], SessionOptions().set_kernel(kernel));
+      EXPECT_EQ(session->WaitReady().code(), StatusCode::kInvalidArgument);
+      DenseMatrix z;
+      EXPECT_EQ(session->Multiply(x, &z, nullptr).code(), StatusCode::kInvalidArgument);
+    }
+  }
+  EXPECT_EQ(rt.plan_cache_stats().insertions, 0);
 }
 
 TEST(SessionOutputTest, ReusedOutputIsBitwiseEqualToFresh) {
@@ -328,7 +365,7 @@ TEST(SessionOutputTest, ShardedReusedOutputIsBitwiseEqualToFresh) {
     ShardingOptions sharding;
     sharding.num_shards = k;
     auto sharded =
-        ShardedSession::Open(Runtime::Default(), m, SessionOptions(), sharding);
+        Runtime::Default()->OpenSession(&m, SessionOptions().set_sharding(sharding));
     DenseMatrix fresh;
     ASSERT_TRUE(sharded->Multiply(x, &fresh, nullptr).ok());
     DenseMatrix z = NanMatrix(m.rows(), x.cols());
@@ -374,7 +411,7 @@ TEST(SessionOutputTest, OutputAliasingInputIsRejected) {
   ShardingOptions sharding;
   sharding.num_shards = 4;
   auto sharded =
-      ShardedSession::Open(Runtime::Default(), m, SessionOptions(), sharding);
+      Runtime::Default()->OpenSession(&m, SessionOptions().set_sharding(sharding));
   EXPECT_EQ(sharded->Multiply(x, &x, nullptr).code(), StatusCode::kInvalidArgument);
 
   for (const std::string& name : KernelNames()) {
@@ -393,9 +430,10 @@ TEST(SessionDeterminismTest, AsyncMatchesSerialEngineAtMultipleThreadCounts) {
   Pcg32 rng(9);
   DenseMatrix x = GenerateDense(m.cols(), 32, &rng);
 
-  SpmmEngine serial("hcspmm", &m, Rtx3090(), DataType::kFp32, /*num_threads=*/1);
+  const std::shared_ptr<Session> serial =
+      OpenReady("hcspmm", &m, Rtx3090(), DataType::kFp32, /*num_threads=*/1);
   DenseMatrix expected;
-  ASSERT_TRUE(serial.Multiply(x, &expected, nullptr).ok());
+  ASSERT_TRUE(serial->Multiply(x, &expected, nullptr).ok());
 
   for (int threads : {1, 4, 8}) {
     auto session = Runtime::Default()->OpenSession(
@@ -515,9 +553,10 @@ TEST(SessionBatchTest, EmptyBatchResolvesImmediatelyWithoutDispatch) {
   std::vector<DenseMatrix> zs(3);
   ASSERT_TRUE(session->MultiplyBatch({}, &zs, nullptr).ok());
   EXPECT_TRUE(zs.empty());
-  SpmmEngine engine("cuda_basic", &m, Rtx3090(), DataType::kTf32);
+  const std::shared_ptr<Session> engine =
+      OpenReady("cuda_basic", &m, Rtx3090(), DataType::kTf32);
   std::vector<DenseMatrix> zs2(2);
-  ASSERT_TRUE(engine.MultiplyBatch({}, &zs2, nullptr).ok());
+  ASSERT_TRUE(engine->MultiplyBatch({}, &zs2, nullptr).ok());
   EXPECT_TRUE(zs2.empty());
 }
 

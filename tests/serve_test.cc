@@ -39,8 +39,9 @@ SessionOptions Fp32() { return SessionOptions().set_dtype(DataType::kFp32); }
 SessionPoolOptions PoolOptions(int max_sessions, int num_shards = 1) {
   SessionPoolOptions opts;
   opts.max_sessions = max_sessions;
-  opts.session = Fp32();
-  opts.num_shards = num_shards;
+  ShardingOptions sharding;
+  sharding.num_shards = num_shards;
+  opts.session = Fp32().set_sharding(sharding);
   return opts;
 }
 
@@ -86,11 +87,11 @@ TEST(SessionPoolTest, HandleMatchesSessionContentFingerprint) {
   Runtime rt;
   SessionPool pool(&rt, PoolOptions(2));
   const uint64_t handle = pool.RegisterGraph(ServeMatrix(5));
-  Result<PooledSession> ps = pool.Acquire(handle);
+  Result<std::shared_ptr<Session>> ps = pool.Acquire(handle);
   ASSERT_TRUE(ps.ok());
-  ASSERT_TRUE(ps.ValueOrDie().WaitReady().ok());
+  ASSERT_TRUE(ps.ValueOrDie()->WaitReady().ok());
   // The pool's admission key is exactly the runtime's plan fingerprint.
-  EXPECT_EQ(ps.ValueOrDie().ref().session()->content_fingerprint(), handle);
+  EXPECT_EQ(ps.ValueOrDie()->content_fingerprint(), handle);
 }
 
 TEST(SessionPoolTest, AcquireOpensLazilyAndLruEvicts) {
@@ -132,26 +133,26 @@ TEST(SessionPoolTest, ReopenAfterEvictionHitsPlanCache) {
   const uint64_t h1 = pool.RegisterGraph(ServeMatrix(21));
   const uint64_t h2 = pool.RegisterGraph(ServeMatrix(22));
 
-  Result<PooledSession> first = pool.Acquire(h1);
+  Result<std::shared_ptr<Session>> first = pool.Acquire(h1);
   ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(first.ValueOrDie().WaitReady().ok());
-  EXPECT_FALSE(first.ValueOrDie().ref().plan_from_cache());
+  ASSERT_TRUE(first.ValueOrDie()->WaitReady().ok());
+  EXPECT_FALSE(first.ValueOrDie()->plan_from_cache());
 
   ASSERT_TRUE(pool.Acquire(h2).ok());  // budget 1: evicts h1's session
   EXPECT_EQ(pool.stats().evicted, 1);
 
   // Second binding of the same graph content: the session is rebuilt but
   // its plan comes straight out of the PlanCache under the same fingerprint.
-  Result<PooledSession> again = pool.Acquire(h1);
+  Result<std::shared_ptr<Session>> again = pool.Acquire(h1);
   ASSERT_TRUE(again.ok());
-  ASSERT_TRUE(again.ValueOrDie().WaitReady().ok());
-  EXPECT_TRUE(again.ValueOrDie().ref().plan_from_cache());
+  ASSERT_TRUE(again.ValueOrDie()->WaitReady().ok());
+  EXPECT_TRUE(again.ValueOrDie()->plan_from_cache());
 }
 
 TEST(SessionPoolTest, UnknownHandleIsInvalidArgument) {
   Runtime rt;
   SessionPool pool(&rt, PoolOptions(2));
-  Result<PooledSession> r = pool.Acquire(123456789);
+  Result<std::shared_ptr<Session>> r = pool.Acquire(123456789);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -161,25 +162,25 @@ TEST(SessionPoolTest, EvictedSessionStaysUsableByHolders) {
   SessionPool pool(&rt, PoolOptions(1));
   const uint64_t h1 = pool.RegisterGraph(ServeMatrix(31));
   const uint64_t h2 = pool.RegisterGraph(ServeMatrix(32));
-  Result<PooledSession> held = pool.Acquire(h1);
+  Result<std::shared_ptr<Session>> held = pool.Acquire(h1);
   ASSERT_TRUE(held.ok());
   ASSERT_TRUE(pool.Acquire(h2).ok());  // evicts h1 from the pool
   EXPECT_TRUE(pool.Evict(h1) == false);  // already gone
   // The held handle keeps the backend (and the pooled CSR) alive.
   DenseMatrix x = Payload(256, 16, 7);
   Future<std::vector<DenseMatrix>> f =
-      held.ValueOrDie().MultiplyBatchAsync({std::move(x)});
+      held.ValueOrDie()->MultiplyBatchAsync({std::move(x)});
   ASSERT_TRUE(f.status().ok());
   EXPECT_EQ(f.Get().size(), 1u);
 }
 
-TEST(SessionPoolTest, ShardedBackendBatchBitIdenticalToDirect) {
+TEST(SessionPoolTest, ShardedSessionBatchBitIdenticalToDirect) {
   Runtime rt;
   CsrMatrix abar = ServeMatrix(41, /*rows=*/300, /*density=*/0.04);
   CsrMatrix reference = abar;
   SessionPool pool(&rt, PoolOptions(2, /*num_shards=*/3));
   const uint64_t handle = pool.RegisterGraph(std::move(abar));
-  Result<PooledSession> ps = pool.Acquire(handle);
+  Result<std::shared_ptr<Session>> ps = pool.Acquire(handle);
   ASSERT_TRUE(ps.ok());
 
   std::vector<DenseMatrix> xs;
@@ -188,7 +189,7 @@ TEST(SessionPoolTest, ShardedBackendBatchBitIdenticalToDirect) {
   for (const DenseMatrix& x : xs) expected.push_back(Direct(&rt, reference, x));
 
   Future<std::vector<DenseMatrix>> f =
-      ps.ValueOrDie().MultiplyBatchAsync(std::move(xs));
+      ps.ValueOrDie()->MultiplyBatchAsync(std::move(xs));
   ASSERT_TRUE(f.status().ok());
   const std::vector<DenseMatrix>& zs = f.Get();
   ASSERT_EQ(zs.size(), expected.size());
@@ -304,6 +305,18 @@ ServerOptions BatchingOptions(int max_batch, int64_t window_us) {
   opts.max_batch = max_batch;
   opts.batch_window_us = window_us;
   return opts;
+}
+
+TEST(ServerTest, MalformedGraphResolvesTypedInsteadOfCrashing) {
+  // A 2x2 CSR whose only column index lies far past cols: the kernels would
+  // read out of bounds, so the graph's session must fail to open and the
+  // request must resolve to a typed InvalidArgument.
+  Runtime rt;
+  Server server(&rt, BatchingOptions(1, 0));
+  const uint64_t graph =
+      server.RegisterGraph(CsrMatrix(2, 2, {0, 1, 1}, {50'000'000}, {1.0f}));
+  Future<DenseMatrix> f = server.Submit({"t", graph, DenseMatrix(2, 4, 1.0f)});
+  EXPECT_EQ(f.status().code(), StatusCode::kInvalidArgument) << f.status().ToString();
 }
 
 TEST(ServerTest, FullBatchScattersBitIdenticalResults) {
@@ -590,7 +603,7 @@ TEST(ServerTest, BatchedAndUnbatchedModesAgreeBitwise) {
   }
 }
 
-TEST(ServerTest, ShardedBackendServesBitIdentical) {
+TEST(ServerTest, ShardedSessionsServeBitIdentical) {
   Runtime rt;
   CsrMatrix abar = ServeMatrix(60, /*rows=*/300, /*density=*/0.04);
   CsrMatrix reference = abar;

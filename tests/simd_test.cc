@@ -17,7 +17,7 @@
 #include "gnn/trainer.h"
 #include "graph/generators.h"
 #include "runtime/runtime.h"
-#include "shard/sharded_session.h"
+#include "shard/partitioner.h"
 #include "sparse/convert.h"
 #include "sparse/generate.h"
 #include "sparse/reference.h"
@@ -435,17 +435,13 @@ TEST(SimdIntegrationTest, ShardedSpmmBitIdenticalScalarVsDispatched) {
   DenseMatrix z_scalar;
   {
     ScopedSimdLevel forced(SimdLevel::kScalar);
-    auto sharded = ShardedSession::Open(
-        Runtime::Default(), abar, SessionOptions().set_dtype(DataType::kFp32),
-        ShardingOptions());
+    auto sharded = Runtime::Default()->OpenSession(&abar, SessionOptions().set_dtype(DataType::kFp32).set_sharding(ShardingOptions()));
     ASSERT_TRUE(sharded->Multiply(x, &z_scalar, nullptr).ok());
   }
   for (int k : {1, 2, 4, 7}) {
     ShardingOptions shards;
     shards.num_shards = k;
-    auto sharded = ShardedSession::Open(
-        Runtime::Default(), abar, SessionOptions().set_dtype(DataType::kFp32),
-        shards);
+    auto sharded = Runtime::Default()->OpenSession(&abar, SessionOptions().set_dtype(DataType::kFp32).set_sharding(shards));
     DenseMatrix z;
     ASSERT_TRUE(sharded->Multiply(x, &z, nullptr).ok());
     ExpectBitwiseEqual(z_scalar, z, "sharded multiply");

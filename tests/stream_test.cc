@@ -1,5 +1,5 @@
 // Tests for dynamic graph updates (src/stream/ + the streaming surfaces of
-// Session / ShardedSession / SessionPool / Server): DeltaBatch validation
+// Session / SessionPool / Server): DeltaBatch validation
 // and hashing, ApplyDeltasToCsr merge semantics, FoldFingerprint ordering,
 // PatchPlan structural equality with a cold Preprocess, PackedCsr::PatchRows
 // byte-identity with a full re-encode, Session::ApplyDeltas bit-identity
@@ -25,7 +25,7 @@
 #include "runtime/runtime.h"
 #include "serve/server.h"
 #include "serve/session_pool.h"
-#include "shard/sharded_session.h"
+#include "shard/partitioner.h"
 #include "sparse/generate.h"
 #include "sparse/packed_csr.h"
 #include "sparse/reference.h"
@@ -153,7 +153,7 @@ TEST(DeltaBatchTest, HashIsCanonicalAndPayloadSensitive) {
   EXPECT_NE(a.ValueOrDie().Hash(), list_changed.ValueOrDie().Hash());
 }
 
-TEST(DeltaBatchTest, BoundsDirtyRowsAndSlice) {
+TEST(DeltaBatchTest, BoundsAndDirtyRows) {
   auto batch = DeltaBatch::Make({{5, 3, 1.0f}, {1, 9, 2.0f}, {5, 7, 1.0f}},
                                 {{8, 0, 0.0f}})
                    .ValueOrDie();
@@ -162,17 +162,6 @@ TEST(DeltaBatchTest, BoundsDirtyRowsAndSlice) {
   EXPECT_FALSE(batch.CheckBounds(8, 10).ok());  // row 8 out of range
 
   EXPECT_EQ(batch.DirtyRows(), (std::vector<int32_t>{1, 5, 8}));
-
-  // Slice filters and rebases rows; columns stay in the full space.
-  const DeltaBatch mid = batch.Slice(4, 8);
-  ASSERT_EQ(mid.upserts().size(), 2u);
-  EXPECT_EQ(mid.upserts()[0].row, 1);  // was row 5
-  EXPECT_EQ(mid.upserts()[0].col, 3);
-  EXPECT_TRUE(mid.deletes().empty());
-  const DeltaBatch tail = batch.Slice(8, 10);
-  EXPECT_TRUE(tail.upserts().empty());
-  ASSERT_EQ(tail.deletes().size(), 1u);
-  EXPECT_EQ(tail.deletes()[0].row, 0);  // was row 8
 }
 
 // ---------------------------------------------------------------------------
@@ -438,53 +427,61 @@ TEST(SessionStreamTest, InFlightMultiplyFinishesOnItsSubmissionSnapshot) {
   Pcg32 x_rng(3);
   const DenseMatrix x = GenerateDense(base.cols(), 10, &x_rng);
 
-  CsrMatrix abar = base;
-  auto session = Runtime::Default()->OpenSession(&abar, Fp32());
-  ASSERT_TRUE(session->WaitReady().ok());
-  DenseMatrix z_v0;
-  ASSERT_TRUE(session->Multiply(x, &z_v0, nullptr).ok());
+  // Sharded: every batch moves the range boundaries (threshold 1.0), so a
+  // pinned multiply must also keep its own snapshot's ranges.
+  for (const int k : {1, 4}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    ShardingOptions sharding;
+    sharding.num_shards = k;
+    sharding.rebalance_threshold = 1.0;
+    CsrMatrix abar = base;
+    auto session = Runtime::Default()->OpenSession(&abar, Fp32().set_sharding(sharding));
+    ASSERT_TRUE(session->WaitReady().ok());
+    DenseMatrix z_v0;
+    ASSERT_TRUE(session->Multiply(x, &z_v0, nullptr).ok());
 
-  EdgeMap map = ToEdgeMap(base);
-  Pcg32 rng(47);
-  const DeltaBatch batch = RandomBatch(map, base.rows(), base.cols(), 30, &rng);
-  ApplyToMap(&map, batch);
-  const CsrMatrix rebuilt = FromEdgeMap(map, base.rows(), base.cols());
-  DenseMatrix z_v1;
-  {
-    auto cold = Runtime::Default()->OpenSession(&rebuilt, Fp32());
-    ASSERT_TRUE(cold->Multiply(x, &z_v1, nullptr).ok());
+    EdgeMap map = ToEdgeMap(base);
+    Pcg32 rng(47);
+    const DeltaBatch batch = RandomBatch(map, base.rows(), base.cols(), 30, &rng);
+    ApplyToMap(&map, batch);
+    const CsrMatrix rebuilt = FromEdgeMap(map, base.rows(), base.cols());
+    DenseMatrix z_v1;
+    {
+      auto cold = Runtime::Default()->OpenSession(&rebuilt, Fp32());
+      ASSERT_TRUE(cold->Multiply(x, &z_v1, nullptr).ok());
+    }
+    ASSERT_FALSE(BitIdentical(z_v0, z_v1));  // the batch must change the result
+
+    // Plug stream 0 so the next submission stays queued while deltas land.
+    std::atomic<bool> release{false};
+    Future<bool> gate = session->SubmitAsync(
+        [&release]() -> Status {
+          while (!release.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+          return Status::OK();
+        },
+        /*stream=*/0);
+    Future<DenseMatrix> pinned_v0 = session->MultiplyAsync(x, nullptr, /*stream=*/0);
+
+    ASSERT_TRUE(session->ApplyDeltas(batch).ok());  // publishes version 1
+    Future<DenseMatrix> sees_v1 = session->MultiplyAsync(x, nullptr, /*stream=*/1);
+
+    release.store(true, std::memory_order_release);
+    ASSERT_TRUE(gate.status().ok());
+    ASSERT_TRUE(pinned_v0.status().ok());
+    ASSERT_TRUE(sees_v1.status().ok());
+    EXPECT_TRUE(BitIdentical(pinned_v0.Get(), z_v0));
+    EXPECT_TRUE(BitIdentical(sees_v1.Get(), z_v1));
+
+    // Explicitly pinned snapshots survive later deltas too.
+    auto v1_snapshot = session->CurrentVersion();
+    const DeltaBatch more = RandomBatch(map, base.rows(), base.cols(), 20, &rng);
+    ASSERT_TRUE(session->ApplyDeltas(more).ok());
+    DenseMatrix z_pinned;
+    ASSERT_TRUE(session->MultiplyOn(*v1_snapshot, x, &z_pinned, nullptr).ok());
+    EXPECT_TRUE(BitIdentical(z_pinned, z_v1));
   }
-  ASSERT_FALSE(BitIdentical(z_v0, z_v1));  // the batch must change the result
-
-  // Plug stream 0 so the next submission stays queued while deltas land.
-  std::atomic<bool> release{false};
-  Future<bool> gate = session->SubmitAsync(
-      [&release]() -> Status {
-        while (!release.load(std::memory_order_acquire)) {
-          std::this_thread::yield();
-        }
-        return Status::OK();
-      },
-      /*stream=*/0);
-  Future<DenseMatrix> pinned_v0 = session->MultiplyAsync(x, nullptr, /*stream=*/0);
-
-  ASSERT_TRUE(session->ApplyDeltas(batch).ok());  // publishes version 1
-  Future<DenseMatrix> sees_v1 = session->MultiplyAsync(x, nullptr, /*stream=*/1);
-
-  release.store(true, std::memory_order_release);
-  ASSERT_TRUE(gate.status().ok());
-  ASSERT_TRUE(pinned_v0.status().ok());
-  ASSERT_TRUE(sees_v1.status().ok());
-  EXPECT_TRUE(BitIdentical(pinned_v0.Get(), z_v0));
-  EXPECT_TRUE(BitIdentical(sees_v1.Get(), z_v1));
-
-  // Explicitly pinned snapshots survive later deltas too.
-  auto v1_snapshot = session->CurrentVersion();
-  const DeltaBatch more = RandomBatch(map, base.rows(), base.cols(), 20, &rng);
-  ASSERT_TRUE(session->ApplyDeltas(more).ok());
-  DenseMatrix z_pinned;
-  ASSERT_TRUE(session->MultiplyOn(*v1_snapshot, x, &z_pinned, nullptr).ok());
-  EXPECT_TRUE(BitIdentical(z_pinned, z_v1));
 }
 
 TEST(SessionStreamTest, RandomizedSoakMatchesFromScratchRebuilds) {
@@ -530,7 +527,7 @@ TEST(SessionStreamTest, RandomizedSoakMatchesFromScratchRebuilds) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedSession::ApplyDeltas
+// Session::ApplyDeltas on a sharded session
 
 TEST(ShardedStreamTest, BitIdenticalToUnshardedColdRebuildForEveryK) {
   const CsrMatrix base = StreamMatrix(29, 320, 0.05);
@@ -542,9 +539,9 @@ TEST(ShardedStreamTest, BitIdenticalToUnshardedColdRebuildForEveryK) {
     ShardingOptions sharding;
     sharding.num_shards = k;
     auto sharded =
-        ShardedSession::Open(Runtime::Default(), base, Fp32(), sharding);
+        Runtime::Default()->OpenSession(&base, Fp32().set_sharding(sharding));
     ASSERT_TRUE(sharded->WaitReady().ok());
-    EXPECT_EQ(sharded->generation(), 0u);
+    EXPECT_EQ(sharded->version(), 0u);
 
     EdgeMap map = ToEdgeMap(base);
     Pcg32 rng(53 + static_cast<uint64_t>(k));
@@ -556,7 +553,7 @@ TEST(ShardedStreamTest, BitIdenticalToUnshardedColdRebuildForEveryK) {
       ApplyToMap(&map, batch);
       EXPECT_EQ(stats.version, static_cast<uint64_t>(b + 1));
     }
-    EXPECT_EQ(sharded->generation(), 3u);
+    EXPECT_EQ(sharded->version(), 3u);
 
     const CsrMatrix rebuilt = FromEdgeMap(map, base.rows(), base.cols());
     auto cold = Runtime::Default()->OpenSession(&rebuilt, Fp32());
@@ -580,12 +577,14 @@ TEST(ShardedStreamTest, SkewedChurnTriggersRepartitioning) {
   ShardingOptions tight;
   tight.num_shards = 4;
   tight.rebalance_threshold = 1.05;  // repartition on mild imbalance
-  auto sharded = ShardedSession::Open(Runtime::Default(), base, Fp32(), tight);
+  auto sharded = Runtime::Default()->OpenSession(&base, Fp32().set_sharding(tight));
   ASSERT_TRUE(sharded->WaitReady().ok());
 
   // Pile inserts into the last shard's rows until the nnz balance drifts.
   EdgeMap map = ToEdgeMap(base);
-  const int32_t row_begin = sharded->shard_range(3).row_begin;
+  const std::vector<ShardRange> before = sharded->CurrentVersion()->shards;
+  ASSERT_EQ(before.size(), 4u);
+  const int32_t row_begin = before[3].row_begin;
   std::vector<EdgeDelta> ups;
   Pcg32 rng(59);
   std::map<std::pair<int32_t, int32_t>, int> used;
@@ -603,15 +602,25 @@ TEST(ShardedStreamTest, SkewedChurnTriggersRepartitioning) {
   ASSERT_TRUE(sharded->ApplyDeltas(skew, &stats).ok());
   ApplyToMap(&map, skew);
   EXPECT_TRUE(stats.repartitioned);
-  EXPECT_EQ(sharded->generation(), 1u);
+  EXPECT_EQ(sharded->version(), 1u);
 
-  // Rebalanced shards still tile [0, rows) and compute the same product.
+  // Rebalanced shards moved their boundaries, still tile [0, rows) with
+  // the patched nnz, and compute the same product.
+  const std::vector<ShardRange> after = sharded->CurrentVersion()->shards;
+  ASSERT_EQ(after.size(), before.size());
+  EXPECT_NE(after[3].row_begin, before[3].row_begin);
   int32_t expected_begin = 0;
-  for (int i = 0; i < sharded->num_shards(); ++i) {
-    EXPECT_EQ(sharded->shard_range(i).row_begin, expected_begin);
-    expected_begin = sharded->shard_range(i).row_end;
+  int32_t expected_window = 0;
+  int64_t total_nnz = 0;
+  for (const ShardRange& range : after) {
+    EXPECT_EQ(range.row_begin, expected_begin);
+    EXPECT_EQ(range.window_begin, expected_window);
+    expected_begin = range.row_end;
+    expected_window = range.window_end;
+    total_nnz += range.nnz;
   }
   EXPECT_EQ(expected_begin, base.rows());
+  EXPECT_EQ(total_nnz, base.nnz() + 300);
   const CsrMatrix rebuilt = FromEdgeMap(map, base.rows(), base.cols());
   auto cold = Runtime::Default()->OpenSession(&rebuilt, Fp32());
   DenseMatrix z_sharded, z_cold;
@@ -623,7 +632,7 @@ TEST(ShardedStreamTest, SkewedChurnTriggersRepartitioning) {
   ShardingOptions loose;
   loose.num_shards = 4;
   loose.rebalance_threshold = 1e9;
-  auto stable = ShardedSession::Open(Runtime::Default(), base, Fp32(), loose);
+  auto stable = Runtime::Default()->OpenSession(&base, Fp32().set_sharding(loose));
   ASSERT_TRUE(stable->WaitReady().ok());
   DeltaApplyStats loose_stats;
   ASSERT_TRUE(stable->ApplyDeltas(skew, &loose_stats).ok());
@@ -637,7 +646,7 @@ TEST(ShardedStreamTest, InapplicableBatchLeavesEveryShardUntouched) {
   const CsrMatrix base = StreamMatrix(37, 160, 0.05);
   ShardingOptions sharding;
   sharding.num_shards = 3;
-  auto sharded = ShardedSession::Open(Runtime::Default(), base, Fp32(), sharding);
+  auto sharded = Runtime::Default()->OpenSession(&base, Fp32().set_sharding(sharding));
   ASSERT_TRUE(sharded->WaitReady().ok());
   Pcg32 x_rng(7);
   const DenseMatrix x = GenerateDense(base.cols(), 8, &x_rng);
@@ -660,7 +669,7 @@ TEST(ShardedStreamTest, InapplicableBatchLeavesEveryShardUntouched) {
   const DeltaBatch bad =
       DeltaBatch::Make({{0, 0, 9.0f}}, {{last_row, hole, 0.0f}}).ValueOrDie();
   EXPECT_FALSE(sharded->ApplyDeltas(bad).ok());
-  EXPECT_EQ(sharded->generation(), 0u);
+  EXPECT_EQ(sharded->version(), 0u);
   DenseMatrix z_after;
   ASSERT_TRUE(sharded->Multiply(x, &z_after, nullptr).ok());
   EXPECT_TRUE(BitIdentical(z_before, z_after));
@@ -670,68 +679,74 @@ TEST(ShardedStreamTest, InapplicableBatchLeavesEveryShardUntouched) {
 // SessionPool + Server streaming admission
 
 TEST(PoolStreamTest, ApplyDeltasRekeysResidentAndNonResidentEntries) {
-  Runtime rt;
-  SessionPoolOptions opts;
-  opts.max_sessions = 4;
-  opts.session = Fp32();
-  SessionPool pool(&rt, opts);
+  // A sharded pool session patches through the same Session::ApplyDeltas.
+  for (const int k : {1, 3}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    ShardingOptions sharding;
+    sharding.num_shards = k;
+    Runtime rt;
+    SessionPoolOptions opts;
+    opts.max_sessions = 4;
+    opts.session = Fp32().set_sharding(sharding);
+    SessionPool pool(&rt, opts);
 
-  const CsrMatrix base = StreamMatrix(41, 200, 0.05);
-  Pcg32 x_rng(8);
-  const DenseMatrix x = GenerateDense(base.cols(), 8, &x_rng);
-  EdgeMap map = ToEdgeMap(base);
-  Pcg32 rng(61);
-  const DeltaBatch batch = RandomBatch(map, base.rows(), base.cols(), 30, &rng);
-  ApplyToMap(&map, batch);
-  const CsrMatrix rebuilt = FromEdgeMap(map, base.rows(), base.cols());
-  DenseMatrix z_expect;
-  {
-    auto direct = rt.OpenSession(&rebuilt, Fp32());
-    ASSERT_TRUE(direct->Multiply(x, &z_expect, nullptr).ok());
+    const CsrMatrix base = StreamMatrix(41, 200, 0.05);
+    Pcg32 x_rng(8);
+    const DenseMatrix x = GenerateDense(base.cols(), 8, &x_rng);
+    EdgeMap map = ToEdgeMap(base);
+    Pcg32 rng(61);
+    const DeltaBatch batch = RandomBatch(map, base.rows(), base.cols(), 30, &rng);
+    ApplyToMap(&map, batch);
+    const CsrMatrix rebuilt = FromEdgeMap(map, base.rows(), base.cols());
+    DenseMatrix z_expect;
+    {
+      auto direct = rt.OpenSession(&rebuilt, Fp32());
+      ASSERT_TRUE(direct->Multiply(x, &z_expect, nullptr).ok());
+    }
+
+    // Resident path: the open session is patched in place.
+    {
+      CsrMatrix copy = base;
+      const uint64_t handle = pool.RegisterGraph(std::move(copy));
+      auto acquired = pool.Acquire(handle);
+      ASSERT_TRUE(acquired.ok());
+      ASSERT_TRUE(acquired.ValueOrDie()->WaitReady().ok());
+      DeltaApplyStats stats;
+      auto rekeyed = pool.ApplyDeltas(handle, batch, &stats);
+      ASSERT_TRUE(rekeyed.ok()) << rekeyed.status().message();
+      const uint64_t new_handle = rekeyed.ValueOrDie();
+      EXPECT_EQ(new_handle, FoldFingerprint(handle, batch.Hash()));
+      EXPECT_FALSE(pool.HasGraph(handle));  // old handle forgotten
+      ASSERT_TRUE(pool.HasGraph(new_handle));
+      EXPECT_EQ(stats.version, 1u);
+
+      auto again = pool.Acquire(new_handle);
+      ASSERT_TRUE(again.ok());
+      DenseMatrix z;
+      ASSERT_TRUE(again.ValueOrDie()->Multiply(x, &z, nullptr).ok());
+      EXPECT_TRUE(BitIdentical(z, z_expect));
+      ASSERT_TRUE(pool.Unregister(new_handle).ok());
+    }
+
+    // Non-resident path: only the stored CSR is patched; the session opened
+    // later builds on the patched content.
+    {
+      CsrMatrix copy = base;
+      const uint64_t handle = pool.RegisterGraph(std::move(copy));
+      auto rekeyed = pool.ApplyDeltas(handle, batch);
+      ASSERT_TRUE(rekeyed.ok());
+      auto acquired = pool.Acquire(rekeyed.ValueOrDie());
+      ASSERT_TRUE(acquired.ok());
+      DenseMatrix z;
+      ASSERT_TRUE(acquired.ValueOrDie()->Multiply(x, &z, nullptr).ok());
+      EXPECT_TRUE(BitIdentical(z, z_expect));
+    }
+
+    // Unknown handles fail without side effects.
+    EXPECT_EQ(pool.ApplyDeltas(0xdeadbeef, batch).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(pool.Unregister(0xdeadbeef).code(), StatusCode::kInvalidArgument);
   }
-
-  // Resident path: the open session is patched in place.
-  {
-    CsrMatrix copy = base;
-    const uint64_t handle = pool.RegisterGraph(std::move(copy));
-    auto acquired = pool.Acquire(handle);
-    ASSERT_TRUE(acquired.ok());
-    ASSERT_TRUE(acquired.ValueOrDie().WaitReady().ok());
-    DeltaApplyStats stats;
-    auto rekeyed = pool.ApplyDeltas(handle, batch, &stats);
-    ASSERT_TRUE(rekeyed.ok()) << rekeyed.status().message();
-    const uint64_t new_handle = rekeyed.ValueOrDie();
-    EXPECT_EQ(new_handle, FoldFingerprint(handle, batch.Hash()));
-    EXPECT_FALSE(pool.HasGraph(handle));  // old handle forgotten
-    ASSERT_TRUE(pool.HasGraph(new_handle));
-    EXPECT_EQ(stats.version, 1u);
-
-    auto again = pool.Acquire(new_handle);
-    ASSERT_TRUE(again.ok());
-    DenseMatrix z;
-    ASSERT_TRUE(again.ValueOrDie().ref().Multiply(x, &z, nullptr).ok());
-    EXPECT_TRUE(BitIdentical(z, z_expect));
-    ASSERT_TRUE(pool.Unregister(new_handle).ok());
-  }
-
-  // Non-resident path: only the stored CSR is patched; the session opened
-  // later builds on the patched content.
-  {
-    CsrMatrix copy = base;
-    const uint64_t handle = pool.RegisterGraph(std::move(copy));
-    auto rekeyed = pool.ApplyDeltas(handle, batch);
-    ASSERT_TRUE(rekeyed.ok());
-    auto acquired = pool.Acquire(rekeyed.ValueOrDie());
-    ASSERT_TRUE(acquired.ok());
-    DenseMatrix z;
-    ASSERT_TRUE(acquired.ValueOrDie().ref().Multiply(x, &z, nullptr).ok());
-    EXPECT_TRUE(BitIdentical(z, z_expect));
-  }
-
-  // Unknown handles fail without side effects.
-  EXPECT_EQ(pool.ApplyDeltas(0xdeadbeef, batch).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(pool.Unregister(0xdeadbeef).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ServerStreamTest, StreamingAdmissionRefusedWhileRequestsAreQueued) {
