@@ -147,10 +147,12 @@ Status HcSpmm::RunWindows(const HybridPlan& plan, const CsrMatrix& a,
     // index structure + row offsets + values + gathered feature rows +
     // the output write. This is the bytes/nnz the compression gate and the
     // benches' effective-GB/s columns are computed from.
-    const int32_t row_begin = window_begin < window_end ? ws[window_begin].first_row : 0;
-    const int32_t row_end =
-        window_begin < window_end ? ws[window_end - 1].first_row + ws[window_end - 1].num_rows
-                                  : 0;
+    // The windows tile the rows, so the range ends where the next one starts.
+    const auto first_row = [&](int64_t w) {
+      return w < static_cast<int64_t>(ws.size()) ? ws[w].first_row : a.rows();
+    };
+    const int32_t row_begin = first_row(window_begin);
+    const int32_t row_end = first_row(window_end);
     const int64_t rows = row_end - row_begin;
     const int64_t nnz = a.RowBegin(row_end) - a.RowBegin(row_begin);
     const int64_t index_bytes =

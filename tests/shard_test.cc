@@ -7,6 +7,7 @@
 // fodder).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 #include "shard/partitioner.h"
 #include "sparse/generate.h"
 #include "sparse/reference.h"
+#include "util/fault.h"
 #include "util/random.h"
 
 namespace hcspmm {
@@ -191,10 +193,9 @@ TEST(ShardedSessionTest, BitIdenticalToUnshardedForEveryK) {
 
 TEST(ShardedSessionTest, SimulatedCostIsOneLaunchPerShard) {
   // Each window range is metered as its own kernel launch over its own rows
-  // and nonzeros. The literals were recorded from the per-shard-session
-  // implementation this design replaced (one CSR copy, plan and session per
-  // shard), on this matrix and x; the window-range multiply must meter
-  // exactly the same simulated time and host traffic.
+  // and nonzeros, exactly as if the range were a standalone matrix with its
+  // own plan. The literals are that standalone metering, recorded with one
+  // CSR copy, plan and session per shard on this matrix and x.
   const CsrMatrix m = TestMatrix(31, 300, 0.05);
   Pcg32 rng(5);
   const DenseMatrix x = GenerateDense(m.cols(), 16, &rng);
@@ -344,14 +345,12 @@ TEST(ShardedSessionTest, FaultsHitOneShardAndRetryOnlyItsRange) {
   // The schedule is a function of each shard's own scope: replaying scope
   // 100 + i alone reproduces exactly the faults shard i saw.
   FaultInjector replay(fopts);
-  int64_t replayed = 0;
   for (int i = 0; i < kShards; ++i) {
     for (int done = 0; done < kMultiplies;) {
       if (replay.OnDispatch(100 + i).ok()) ++done;
     }
   }
-  replayed = replay.injected_faults();
-  EXPECT_EQ(replayed, injector->injected_faults());
+  EXPECT_EQ(replay.injected_faults(), injector->injected_faults());
 }
 
 TEST(ShardedSessionTest, DroppingTheHandleWithWorkInFlightIsSafe) {
