@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
               "reopen ms", "bit-identical", "max|diff|"},
              rows);
   PrintNote("speedup is bounded by physical cores; expect ~flat on 1-core machines");
-  PrintNote("reopen hits the PlanCache (one plan for every K), so it excludes plan builds");
+  PrintNote("reopen hits the PlanCache (one plan serves every K): no plan build");
 
   if (!json_path.empty()) {
     const std::string report = JsonObject(

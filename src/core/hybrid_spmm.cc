@@ -162,7 +162,8 @@ Status HcSpmm::RunWindows(const HybridPlan& plan, const CsrMatrix& a,
                   (rows + 1) * static_cast<int64_t>(sizeof(uint32_t))
             : nnz * static_cast<int64_t>(sizeof(int32_t));
     const int64_t feature_elem_bytes = x.reduced_storage() ? 2 : 4;
-    profile->host_bytes += index_bytes + (rows + 1) * static_cast<int64_t>(sizeof(int64_t)) +
+    profile->host_bytes += index_bytes +
+                           (rows + 1) * static_cast<int64_t>(sizeof(int64_t)) +
                            nnz * static_cast<int64_t>(sizeof(float)) +
                            nnz * static_cast<int64_t>(dim) * feature_elem_bytes +
                            rows * dim * static_cast<int64_t>(sizeof(float));

@@ -38,7 +38,8 @@ TrainStats TrainGnn(const Graph& graph, GnnModelKind kind,
   if (config.compress_indices && kernel_name == "hcspmm") {
     options.set_compress_indices(true);
   }
-  const std::shared_ptr<Session> session = Runtime::Default()->OpenSession(&abar, options);
+  const std::shared_ptr<Session> session =
+      Runtime::Default()->OpenSession(&abar, options);
 
   if (kind == GnnModelKind::kGcn) {
     GcnModel model(&graph, config, session.get());

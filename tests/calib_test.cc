@@ -296,7 +296,8 @@ TEST(CostDrivenPartitionTest, ShardedResultsStayBitIdenticalToUnsharded) {
       sharding.num_shards = k;
       sharding.balance_by_cost = true;
       if (use_model) sharding.cost_model = &FastReport().model;
-      auto sharded = runtime.OpenSession(&a, SessionOptions(options).set_sharding(sharding));
+      auto sharded =
+          runtime.OpenSession(&a, SessionOptions(options).set_sharding(sharding));
       ASSERT_TRUE(sharded->WaitReady().ok());
       EXPECT_EQ(sharded->CurrentVersion()->shards.size(), static_cast<size_t>(k));
       DenseMatrix z;

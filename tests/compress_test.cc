@@ -211,7 +211,8 @@ TEST(CompressedSpmmTest, BitIdenticalAcrossShardCounts) {
   for (int k : {1, 2, 4, 7}) {
     ShardingOptions sharding;
     sharding.num_shards = k;
-    auto sharded = Runtime::Default()->OpenSession(&abar, Fp32Options().set_compress_indices(true).set_sharding(sharding));
+    auto sharded = Runtime::Default()->OpenSession(
+        &abar, Fp32Options().set_compress_indices(true).set_sharding(sharding));
     ASSERT_TRUE(sharded->WaitReady().ok()) << "K=" << k;
     DenseMatrix z;
     ASSERT_TRUE(sharded->Multiply(x, &z, nullptr).ok());

@@ -317,8 +317,8 @@ TEST(ShardedSessionTest, FaultsHitOneShardAndRetryOnlyItsRange) {
   Pcg32 rng(13);
   const DenseMatrix x = GenerateDense(m.cols(), 12, &rng);
   DenseMatrix z_ref;
-  ASSERT_TRUE(
-      Runtime::Default()->OpenSession(&m, Fp32Options())->Multiply(x, &z_ref, nullptr).ok());
+  auto unsharded = Runtime::Default()->OpenSession(&m, Fp32Options());
+  ASSERT_TRUE(unsharded->Multiply(x, &z_ref, nullptr).ok());
 
   FaultOptions fopts;
   fopts.seed = 7;

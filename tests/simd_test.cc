@@ -435,13 +435,15 @@ TEST(SimdIntegrationTest, ShardedSpmmBitIdenticalScalarVsDispatched) {
   DenseMatrix z_scalar;
   {
     ScopedSimdLevel forced(SimdLevel::kScalar);
-    auto sharded = Runtime::Default()->OpenSession(&abar, SessionOptions().set_dtype(DataType::kFp32).set_sharding(ShardingOptions()));
-    ASSERT_TRUE(sharded->Multiply(x, &z_scalar, nullptr).ok());
+    auto unsharded =
+        Runtime::Default()->OpenSession(&abar, SessionOptions().set_dtype(DataType::kFp32));
+    ASSERT_TRUE(unsharded->Multiply(x, &z_scalar, nullptr).ok());
   }
   for (int k : {1, 2, 4, 7}) {
     ShardingOptions shards;
     shards.num_shards = k;
-    auto sharded = Runtime::Default()->OpenSession(&abar, SessionOptions().set_dtype(DataType::kFp32).set_sharding(shards));
+    auto sharded = Runtime::Default()->OpenSession(
+        &abar, SessionOptions().set_dtype(DataType::kFp32).set_sharding(shards));
     DenseMatrix z;
     ASSERT_TRUE(sharded->Multiply(x, &z, nullptr).ok());
     ExpectBitwiseEqual(z_scalar, z, "sharded multiply");
