@@ -1,5 +1,5 @@
 // Tests for the parallel execution subsystem: ThreadPool/ParallelFor
-// correctness, PlanCache hit/miss/eviction semantics, engine-level plan
+// correctness, PlanCache hit/miss/eviction semantics, session-level plan
 // reuse, batched multiplies, and thread-count determinism.
 #include <gtest/gtest.h>
 
@@ -356,7 +356,7 @@ TEST(SessionPlanReuseTest, SecondConstructionHitsPlanCache) {
   EXPECT_DOUBLE_EQ(e2->PreprocessNs(), 0.0);  // nothing rebuilt: cache hit
   EXPECT_EQ(e1->plan(), e2->plan());           // literally the same shared plan
 
-  // The cached plan computes the same result even though m1's engine built it.
+  // The cached plan computes the same result even though m1's session built it.
   Pcg32 rng(77);
   DenseMatrix x = GenerateDense(m1.cols(), 24, &rng);
   DenseMatrix z1, z2;
@@ -374,15 +374,15 @@ TEST(SessionPlanReuseTest, CachedPlanSurvivesSourceMatrixDestruction) {
       OpenReady("hcspmm", &original, Rtx3090(), DataType::kTf32);
     ASSERT_TRUE(warmup->WaitReady().ok());
   }  // `original` destroyed; the cached plan must not dangle
-  const std::shared_ptr<Session> engine =
+  const std::shared_ptr<Session> session =
       OpenReady("hcspmm", &keeper, Rtx3090(), DataType::kTf32);
-  ASSERT_TRUE(engine->WaitReady().ok());
-  EXPECT_TRUE(engine->plan_from_cache());
+  ASSERT_TRUE(session->WaitReady().ok());
+  EXPECT_TRUE(session->plan_from_cache());
   Pcg32 rng(5);
   DenseMatrix x = GenerateDense(keeper.cols(), 16, &rng);
   DenseMatrix z;
   KernelProfile prof;
-  ASSERT_TRUE(engine->Multiply(x, &z, &prof).ok());
+  ASSERT_TRUE(session->Multiply(x, &z, &prof).ok());
   EXPECT_EQ(z.MaxAbsDifference(ReferenceSpmm(keeper, x)), 0.0);
 }
 
@@ -438,31 +438,31 @@ TEST(HcSpmmPlanValidationTest, RejectsSameShapeMatrixWithDifferentDistribution) 
 
 TEST(SessionSyncApiTest, UnknownKernelSurfacesStatusInsteadOfCrashing) {
   const CsrMatrix m = TestMatrix(14);
-  const std::shared_ptr<Session> engine =
+  const std::shared_ptr<Session> session =
       OpenReady("definitely_not_a_kernel", &m, Rtx3090(), DataType::kTf32);
-  EXPECT_FALSE(engine->WaitReady().ok());
-  EXPECT_EQ(engine->WaitReady().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(session->WaitReady().ok());
+  EXPECT_EQ(session->WaitReady().code(), StatusCode::kInvalidArgument);
   // The diagnostic names the offender and lists what *is* registered.
-  EXPECT_NE(engine->WaitReady().message().find("definitely_not_a_kernel"),
+  EXPECT_NE(session->WaitReady().message().find("definitely_not_a_kernel"),
             std::string::npos);
-  EXPECT_NE(engine->WaitReady().message().find("hcspmm"), std::string::npos);
-  EXPECT_NE(engine->WaitReady().message().find("cuda_basic"), std::string::npos);
+  EXPECT_NE(session->WaitReady().message().find("hcspmm"), std::string::npos);
+  EXPECT_NE(session->WaitReady().message().find("cuda_basic"), std::string::npos);
 
   Pcg32 rng(1);
   DenseMatrix x = GenerateDense(m.cols(), 8, &rng);
   DenseMatrix z;
-  Status st = engine->Multiply(x, &z, nullptr);
+  Status st = session->Multiply(x, &z, nullptr);
   EXPECT_FALSE(st.ok());
   std::vector<DenseMatrix> zs;
-  EXPECT_FALSE(engine->MultiplyBatch({&x}, &zs, nullptr).ok());
+  EXPECT_FALSE(session->MultiplyBatch({&x}, &zs, nullptr).ok());
 }
 
 TEST(SessionSyncApiTest, MultiplyBatchMatchesIndividualMultiplies) {
   PlanCache::Global()->Clear();
   const CsrMatrix m = TestMatrix(15, /*rows=*/180);
-  const std::shared_ptr<Session> engine =
+  const std::shared_ptr<Session> session =
       OpenReady("hcspmm", &m, Rtx3090(), DataType::kTf32);
-  ASSERT_TRUE(engine->WaitReady().ok());
+  ASSERT_TRUE(session->WaitReady().ok());
 
   Pcg32 rng(21);
   std::vector<DenseMatrix> inputs;
@@ -473,13 +473,13 @@ TEST(SessionSyncApiTest, MultiplyBatchMatchesIndividualMultiplies) {
 
   std::vector<DenseMatrix> zs;
   KernelProfile batch_profile;
-  ASSERT_TRUE(engine->MultiplyBatch(xs, &zs, &batch_profile).ok());
+  ASSERT_TRUE(session->MultiplyBatch(xs, &zs, &batch_profile).ok());
   ASSERT_EQ(zs.size(), xs.size());
 
   KernelProfile individual_profile;
   for (size_t i = 0; i < xs.size(); ++i) {
     DenseMatrix expected;
-    ASSERT_TRUE(engine->Multiply(*xs[i], &expected, &individual_profile).ok());
+    ASSERT_TRUE(session->Multiply(*xs[i], &expected, &individual_profile).ok());
     EXPECT_EQ(zs[i].MaxAbsDifference(expected), 0.0) << "batch item " << i;
   }
   // Metering is deterministic: the batch profile equals the serial sum.
@@ -492,9 +492,9 @@ TEST(SessionSyncApiTest, MultiplyBatchAllowsAliasingOutputsAsInputs) {
   // using the same vector for zs — must not read freed matrices.
   PlanCache::Global()->Clear();
   const CsrMatrix m = TestMatrix(17, /*rows=*/128);
-  const std::shared_ptr<Session> engine =
+  const std::shared_ptr<Session> session =
       OpenReady("hcspmm", &m, Rtx3090(), DataType::kFp32);
-  ASSERT_TRUE(engine->WaitReady().ok());
+  ASSERT_TRUE(session->WaitReady().ok());
 
   Pcg32 rng(9);
   std::vector<DenseMatrix> buffers;
@@ -503,14 +503,14 @@ TEST(SessionSyncApiTest, MultiplyBatchAllowsAliasingOutputsAsInputs) {
   DenseMatrix expected0, expected1;
   {
     DenseMatrix tmp;
-    ASSERT_TRUE(engine->Multiply(buffers[0], &tmp, nullptr).ok());
-    ASSERT_TRUE(engine->Multiply(tmp, &expected0, nullptr).ok());
-    ASSERT_TRUE(engine->Multiply(buffers[1], &tmp, nullptr).ok());
-    ASSERT_TRUE(engine->Multiply(tmp, &expected1, nullptr).ok());
+    ASSERT_TRUE(session->Multiply(buffers[0], &tmp, nullptr).ok());
+    ASSERT_TRUE(session->Multiply(tmp, &expected0, nullptr).ok());
+    ASSERT_TRUE(session->Multiply(buffers[1], &tmp, nullptr).ok());
+    ASSERT_TRUE(session->Multiply(tmp, &expected1, nullptr).ok());
   }
   for (int layer = 0; layer < 2; ++layer) {
     std::vector<const DenseMatrix*> xs{&buffers[0], &buffers[1]};
-    ASSERT_TRUE(engine->MultiplyBatch(xs, &buffers, nullptr).ok());  // aliased
+    ASSERT_TRUE(session->MultiplyBatch(xs, &buffers, nullptr).ok());  // aliased
   }
   EXPECT_EQ(buffers[0].MaxAbsDifference(expected0), 0.0);
   EXPECT_EQ(buffers[1].MaxAbsDifference(expected1), 0.0);
@@ -518,11 +518,11 @@ TEST(SessionSyncApiTest, MultiplyBatchAllowsAliasingOutputsAsInputs) {
 
 TEST(SessionSyncApiTest, MultiplyBatchRejectsNullInputs) {
   const CsrMatrix m = TestMatrix(16);
-  const std::shared_ptr<Session> engine =
+  const std::shared_ptr<Session> session =
       OpenReady("cuda_basic", &m, Rtx3090(), DataType::kTf32);
   std::vector<DenseMatrix> zs;
-  EXPECT_FALSE(engine->MultiplyBatch({nullptr}, &zs, nullptr).ok());
-  EXPECT_TRUE(engine->MultiplyBatch({}, &zs, nullptr).ok());  // empty batch is OK
+  EXPECT_FALSE(session->MultiplyBatch({nullptr}, &zs, nullptr).ok());
+  EXPECT_TRUE(session->MultiplyBatch({}, &zs, nullptr).ok());  // empty batch is OK
   EXPECT_TRUE(zs.empty());
 }
 
@@ -568,17 +568,17 @@ TEST(DeterminismTest, ThreadCountDoesNotChangeRoundedResultsEither) {
 TEST(DeterminismTest, SimulatedProfileIndependentOfThreadCount) {
   PlanCache::Global()->Clear();
   const CsrMatrix m = TestMatrix(33, /*rows=*/220);
-  const std::shared_ptr<Session> serial_engine =
+  const std::shared_ptr<Session> serial_session =
       OpenReady("hcspmm", &m, Rtx3090(), DataType::kTf32, /*num_threads=*/1);
-  const std::shared_ptr<Session> parallel_engine =
+  const std::shared_ptr<Session> parallel_session =
       OpenReady("hcspmm", &m, Rtx3090(), DataType::kTf32,
                              /*num_threads=*/8);
   Pcg32 rng(3);
   DenseMatrix x = GenerateDense(m.cols(), 32, &rng);
   DenseMatrix z1, z8;
   KernelProfile p1, p8;
-  ASSERT_TRUE(serial_engine->Multiply(x, &z1, &p1).ok());
-  ASSERT_TRUE(parallel_engine->Multiply(x, &z8, &p8).ok());
+  ASSERT_TRUE(serial_session->Multiply(x, &z1, &p1).ok());
+  ASSERT_TRUE(parallel_session->Multiply(x, &z8, &p8).ok());
   EXPECT_DOUBLE_EQ(p1.time_ns, p8.time_ns);
   EXPECT_EQ(p1.blocks, p8.blocks);
   EXPECT_EQ(z1.MaxAbsDifference(z8), 0.0);

@@ -200,10 +200,10 @@ TEST(FusionTest, ApplyFusionNeverGoesNegative) {
 TEST(GcnTest, ForwardShapesAndDeterminism) {
   Graph g = TestGraph();
   CsrMatrix abar = GcnNormalized(g.adjacency);
-  const std::shared_ptr<Session> engine =
+  const std::shared_ptr<Session> session =
       OpenReady("hcspmm", &abar, Rtx3090(), DataType::kFp32);
   GnnConfig cfg;
-  GcnModel model(&g, cfg, engine.get());
+  GcnModel model(&g, cfg, session.get());
   PhaseBreakdown t;
   DenseMatrix logits1 = model.Forward(&t);
   EXPECT_EQ(logits1.rows(), g.num_vertices);
@@ -236,12 +236,12 @@ TEST(GcnTest, GcnNormalizationRowsBounded) {
 TEST(GcnTest, WeightGradientMatchesFiniteDifference) {
   Graph g = TestGraph(60, 21);
   CsrMatrix abar = GcnNormalized(g.adjacency);
-  const std::shared_ptr<Session> engine =
+  const std::shared_ptr<Session> session =
       OpenReady("cuda_opt", &abar, Rtx3090(), DataType::kFp32);
   GnnConfig cfg;
   cfg.hidden_dim = 6;
   cfg.learning_rate = 0.0;  // keep weights frozen during Backward's SGD
-  GcnModel model(&g, cfg, engine.get());
+  GcnModel model(&g, cfg, session.get());
 
   // Analytic gradient via a probe: re-run backward with lr>0 and compare
   // the SGD delta against finite differences of the loss.
@@ -252,7 +252,7 @@ TEST(GcnTest, WeightGradientMatchesFiniteDifference) {
 
   GnnConfig cfg2 = cfg;
   cfg2.learning_rate = 1.0;  // delta = -grad exactly
-  GcnModel probe(&g, cfg2, engine.get());
+  GcnModel probe(&g, cfg2, session.get());
   DenseMatrix before = probe.weights()[1];
   DenseMatrix logits = probe.Forward(nullptr);
   DenseMatrix grad;
@@ -265,7 +265,7 @@ TEST(GcnTest, WeightGradientMatchesFiniteDifference) {
     for (int32_t c = 0; c < 2; ++c) {
       const double analytic = before.At(r, c) - after.At(r, c);  // lr * dW
       // Same seed -> same initial weights as `probe` had before Backward.
-      GcnModel m2(&g, cfg, engine.get());
+      GcnModel m2(&g, cfg, session.get());
       m2.mutable_weights()[1] = before;
       // Perturb.
       m2.mutable_weights()[1].At(r, c) += eps;
@@ -281,11 +281,11 @@ TEST(GcnTest, WeightGradientMatchesFiniteDifference) {
 TEST(GcnTest, LossDecreasesOverTraining) {
   Graph g = TestGraph(300, 31);
   CsrMatrix abar = GcnNormalized(g.adjacency);
-  const std::shared_ptr<Session> engine =
+  const std::shared_ptr<Session> session =
       OpenReady("hcspmm", &abar, Rtx3090(), DataType::kTf32);
   GnnConfig cfg;
   cfg.learning_rate = 0.3;
-  GcnModel model(&g, cfg, engine.get());
+  GcnModel model(&g, cfg, session.get());
   double first = 0, last = 0;
   for (int e = 0; e < 60; ++e) {
     EpochResult r = model.TrainEpoch();
@@ -313,10 +313,10 @@ TEST(GcnTest, FusionPreservesResultsAndSavesTime) {
 TEST(GinTest, ForwardShapes) {
   Graph g = TestGraph();
   CsrMatrix ahat = GinOperator(g.adjacency);
-  const std::shared_ptr<Session> engine =
+  const std::shared_ptr<Session> session =
       OpenReady("hcspmm", &ahat, Rtx3090(), DataType::kFp32);
   GnnConfig cfg;
-  GinModel model(&g, cfg, engine.get());
+  GinModel model(&g, cfg, session.get());
   PhaseBreakdown t;
   DenseMatrix logits = model.Forward(&t);
   EXPECT_EQ(logits.rows(), g.num_vertices);

@@ -240,9 +240,9 @@ TEST(RuntimeTest, FirstMultiplyWaitsOnAsyncPreprocessing) {
   Future<DenseMatrix> fut = session->MultiplyAsync(x);
   ASSERT_TRUE(fut.ok());
   DenseMatrix expected;
-  const std::shared_ptr<Session> engine =
+  const std::shared_ptr<Session> serial =
       OpenReady("hcspmm", &m, Rtx3090(), DataType::kTf32, /*num_threads=*/1);
-  ASSERT_TRUE(engine->Multiply(x, &expected, nullptr).ok());
+  ASSERT_TRUE(serial->Multiply(x, &expected, nullptr).ok());
   EXPECT_EQ(fut.Get().MaxAbsDifference(expected), 0.0);
 }
 
@@ -553,10 +553,10 @@ TEST(SessionBatchTest, EmptyBatchResolvesImmediatelyWithoutDispatch) {
   std::vector<DenseMatrix> zs(3);
   ASSERT_TRUE(session->MultiplyBatch({}, &zs, nullptr).ok());
   EXPECT_TRUE(zs.empty());
-  const std::shared_ptr<Session> engine =
+  const std::shared_ptr<Session> cuda_basic =
       OpenReady("cuda_basic", &m, Rtx3090(), DataType::kTf32);
   std::vector<DenseMatrix> zs2(2);
-  ASSERT_TRUE(engine->MultiplyBatch({}, &zs2, nullptr).ok());
+  ASSERT_TRUE(cuda_basic->MultiplyBatch({}, &zs2, nullptr).ok());
   EXPECT_TRUE(zs2.empty());
 }
 
