@@ -435,8 +435,8 @@ TEST(SimdIntegrationTest, ShardedSpmmBitIdenticalScalarVsDispatched) {
   DenseMatrix z_scalar;
   {
     ScopedSimdLevel forced(SimdLevel::kScalar);
-    auto unsharded =
-        Runtime::Default()->OpenSession(&abar, SessionOptions().set_dtype(DataType::kFp32));
+    const SessionOptions fp32 = SessionOptions().set_dtype(DataType::kFp32);
+    auto unsharded = Runtime::Default()->OpenSession(&abar, fp32);
     ASSERT_TRUE(unsharded->Multiply(x, &z_scalar, nullptr).ok());
   }
   for (int k : {1, 2, 4, 7}) {
