@@ -109,8 +109,7 @@ int main(int argc, char** argv) {
     const double reopen_ms = reopen_timer.ElapsedMs();
     const bool all_cached = reopened->plan_from_cache();
     HCSPMM_CHECK(all_cached) << "the plan should hit the PlanCache";
-    const int num_shards =
-        std::max<int>(1, static_cast<int>(session->CurrentVersion()->shards.size()));
+    const int num_shards = static_cast<int>(session->CurrentVersion()->shards.size());
 
     char diff_buf[32];
     std::snprintf(diff_buf, sizeof(diff_buf), "%.1e", max_diff);

@@ -135,8 +135,7 @@ struct ParallelForState {
 }  // namespace
 
 void ParallelFor(int64_t begin, int64_t end, int num_threads,
-                 const std::function<void(int64_t, int64_t)>& fn, int64_t grain,
-                 ThreadPool* pool) {
+                 const std::function<void(int64_t, int64_t)>& fn, int64_t grain) {
   const int64_t n = end - begin;
   if (n <= 0) return;
   const int threads = ResolveNumThreads(num_threads);
@@ -173,8 +172,7 @@ void ParallelFor(int64_t begin, int64_t end, int num_threads,
   // One helper per extra participant; the caller drains too, so completion
   // never depends on the pool actually scheduling a helper.
   const int64_t helpers = std::min<int64_t>(threads - 1, chunks - 1);
-  if (pool == nullptr) pool = ThreadPool::Global();
-  for (int64_t h = 0; h < helpers; ++h) pool->Submit(drain);
+  for (int64_t h = 0; h < helpers; ++h) ThreadPool::Global()->Submit(drain);
   drain();
 
   std::unique_lock<std::mutex> lk(state->mu);

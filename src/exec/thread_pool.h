@@ -94,11 +94,9 @@ int ResolveNumThreads(int num_threads);
 /// to grain multiples. Runs inline when the range is trivial,
 /// `num_threads` resolves to 1, or the caller is already a pool worker.
 /// Blocks until every chunk completed. `fn` must tolerate concurrent
-/// invocation on disjoint chunks. Helpers go to `pool` (null: the global
-/// pool); pass an executor pool (nested_parallelism) when each chunk runs
-/// its own ParallelFor.
+/// invocation on disjoint chunks.
 void ParallelFor(int64_t begin, int64_t end, int num_threads,
                  const std::function<void(int64_t, int64_t)>& fn,
-                 int64_t grain = 1, ThreadPool* pool = nullptr);
+                 int64_t grain = 1);
 
 }  // namespace hcspmm

@@ -113,10 +113,7 @@ Status Session::Initialize() {
       v0->plan = std::move(shared);
     }
     windows = &v0->plan->windows;
-    if (options_.sharding().num_shards > 1) {
-      v0->shards = PartitionWindows(*abar_, windows->windows, options_.sharding());
-      if (v0->shards.size() < 2) v0->shards.clear();
-    }
+    v0->shards = PartitionWindows(*abar_, windows->windows, options_.sharding());
   } else {
     HCSPMM_RETURN_NOT_OK(validate());
     v0->fingerprint = FingerprintCsr(*abar_);
@@ -246,22 +243,20 @@ Status Session::ApplyDeltas(const DeltaBatch& batch, DeltaApplyStats* stats) {
   // Shards keep their windows; only drifted nnz balance moves the range
   // boundaries, recomputed from the patched plan (the row count never
   // changes, so the ranges still tile it).
-  bool repartitioned = false;
-  if (!base->shards.empty()) {
-    next->shards = base->shards;
-    int64_t max_nnz = 0;
-    for (ShardRange& range : next->shards) {
-      range.nnz = csr->RowBegin(range.row_end) - csr->RowBegin(range.row_begin);
-      max_nnz = std::max(max_nnz, range.nnz);
-    }
-    const double mean_nnz =
-        static_cast<double>(csr->nnz()) / static_cast<double>(next->shards.size());
-    if (mean_nnz > 0.0 && static_cast<double>(max_nnz) >
-                              options_.sharding().rebalance_threshold * mean_nnz) {
-      next->shards = PartitionWindows(*csr, next->plan->windows.windows,
-                                      options_.sharding());
-      repartitioned = true;
-    }
+  next->shards = base->shards;
+  int64_t max_nnz = 0;
+  for (ShardRange& range : next->shards) {
+    range.nnz = csr->RowBegin(range.row_end) - csr->RowBegin(range.row_begin);
+    max_nnz = std::max(max_nnz, range.nnz);
+  }
+  const double mean_nnz =
+      static_cast<double>(csr->nnz()) / static_cast<double>(next->shards.size());
+  const bool repartitioned =
+      next->shards.size() > 1 && mean_nnz > 0.0 &&
+      static_cast<double>(max_nnz) > options_.sharding().rebalance_threshold * mean_nnz;
+  if (repartitioned) {
+    next->shards =
+        PartitionWindows(*csr, next->plan->windows.windows, options_.sharding());
   }
 
   {
@@ -322,10 +317,7 @@ Status Session::MultiplyOnWithThreads(const PlanVersion& v, const DenseMatrix& x
   opts.num_threads = num_threads;
   opts.cancel = cancel;
   Status st;
-  if (v.plan != nullptr) {
-    const auto* hc = static_cast<const HcSpmm*>(kernel_.get());
-    st = hc->RunWithPlan(*v.plan, *v.csr, *input, options_.device(), opts, z, &local);
-  } else if (v.have_windows) {
+  if (v.have_windows) {
     const auto* co = static_cast<const CudaOptimizedSpmm*>(kernel_.get());
     st = co->RunWithWindows(v.windows, *v.csr, *input, options_.device(), opts, z,
                             &local);
@@ -350,7 +342,7 @@ const DenseMatrix* Session::StoredFeatures(const DenseMatrix& x,
   return converted;
 }
 
-Status Session::MultiplyShards(const PlanVersion& v, const DenseMatrix& x,
+Status Session::MultiplyRanges(const PlanVersion& v, const DenseMatrix& x,
                                DenseMatrix* z, KernelProfile* profile, int num_threads,
                                const ExecControls& ctl) const {
   if (v.csr->cols() != x.rows()) {
@@ -359,40 +351,35 @@ Status Session::MultiplyShards(const PlanVersion& v, const DenseMatrix& x,
   HCSPMM_RETURN_NOT_OK(HcSpmm::CheckPlan(*v.plan, *v.csr));
   DenseMatrix converted;
   const DenseMatrix* input = StoredFeatures(x, &converted);
+  // Shaped against the caller's x: a converted input would hide z == &x.
   HCSPMM_RETURN_NOT_OK(internal::ShapeOutput(v.csr->rows(), x, z));
   KernelOptions opts;
   opts.dtype = options_.dtype();
   opts.num_threads = num_threads;
   opts.cancel = ctl.cancel.get();
   const auto* hc = static_cast<const HcSpmm*>(kernel_.get());
-  const int64_t k = static_cast<int64_t>(v.shards.size());
+  const std::shared_ptr<FaultInjector>& injector = options_.fault_injector();
+  // Ranges run in order, each fanning its windows out across the pool, and
+  // own disjoint rows of z. Range i is one attempt loop of its own under
+  // scope fault_scope() + i: the injector may fail or delay an attempt
+  // before any output is written, so a retry recomputes only that range,
+  // bit-identically. An attempt meters into its slot only once its kernel
+  // succeeded, and nothing reaches `profile` unless every range did.
   std::vector<KernelProfile> profiles(v.shards.size());
-  std::vector<Status> statuses(v.shards.size());
-  // Helpers run on the executor pool, whose workers may fan each range's
-  // window loop out across the global pool; the caller drains ranges too.
-  // Ranges own disjoint rows of z, so they write it without a lock, and an
-  // attempt meters into its slot only once its kernel succeeded.
-  ParallelFor(
-      0, k, static_cast<int>(k),
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          const ShardRange& range = v.shards[i];
-          const uint64_t scope = options_.fault_scope() + static_cast<uint64_t>(i);
-          statuses[i] = RunWithRetry(ctl, scope, [&] {
-            if (opts.cancel != nullptr && opts.cancel->Expired()) {
-              return opts.cancel->ToStatus();
-            }
-            const std::shared_ptr<FaultInjector>& injector = options_.fault_injector();
-            if (injector != nullptr) HCSPMM_RETURN_NOT_OK(injector->OnDispatch(scope));
-            return hc->RunWindows(*v.plan, *v.csr, *input, options_.device(), opts,
-                                  range.window_begin, range.window_end, z, &profiles[i]);
-          });
-        }
-      },
-      /*grain=*/1, pool_);
-  for (const Status& st : statuses) HCSPMM_RETURN_NOT_OK(st);
+  for (size_t i = 0; i < v.shards.size(); ++i) {
+    const ShardRange& range = v.shards[i];
+    const uint64_t scope = options_.fault_scope() + i;
+    HCSPMM_RETURN_NOT_OK(RunWithRetry(ctl, scope, [&] {
+      if (opts.cancel != nullptr && opts.cancel->Expired()) {
+        return opts.cancel->ToStatus();
+      }
+      if (injector != nullptr) HCSPMM_RETURN_NOT_OK(injector->OnDispatch(scope));
+      return hc->RunWindows(*v.plan, *v.csr, *input, options_.device(), opts,
+                            range.window_begin, range.window_end, z, &profiles[i]);
+    }));
+  }
   if (profile != nullptr) {
-    for (const KernelProfile& p : profiles) profile->Accumulate(p);  // shard order
+    for (const KernelProfile& p : profiles) profile->Accumulate(p);  // range order
   }
   return Status::OK();
 }
@@ -401,7 +388,7 @@ Status Session::MultiplyWithControls(const PlanVersion& v, const DenseMatrix& x,
                                      DenseMatrix* z, KernelProfile* profile,
                                      int num_threads,
                                      const ExecControls& ctl) const {
-  if (!v.shards.empty()) return MultiplyShards(v, x, z, profile, num_threads, ctl);
+  if (v.plan != nullptr) return MultiplyRanges(v, x, z, profile, num_threads, ctl);
   return RunWithRetry(ctl, options_.fault_scope(), [&] {
     return MultiplyOnWithThreads(v, x, z, profile, num_threads,
                                  ctl.cancel.get());

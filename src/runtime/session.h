@@ -11,9 +11,10 @@
 // thread count and metering is simulated, so only wall-clock changes.
 //
 // Sharding (SessionOptions::set_sharding) splits the plan's row windows into
-// K contiguous ranges stored in each PlanVersion. A multiply runs the K
-// ranges concurrently; each writes its own rows of z, draws faults from its
-// own scope and retries alone, so a shard is a fault domain without being a
+// K contiguous ranges stored in each PlanVersion; an unsharded "hcspmm"
+// session is the one-range case. A multiply runs the ranges in order, each
+// across the pool; each writes its own rows of z, draws faults from its own
+// scope and retries alone, so a shard is a fault domain without being a
 // separate matrix, plan or session.
 #pragma once
 
@@ -57,9 +58,9 @@ struct PlanVersion {
   int64_t aux_bytes = 0;
   double preprocess_ns = 0.0;  ///< plan build (v0) or patch cost (later)
   bool plan_from_cache = false;
-  /// K > 1 contiguous window ranges of `plan` tiling its windows; empty for
-  /// an unsharded session. Part of the snapshot, so a pinned multiply can
-  /// never be torn across shards.
+  /// "hcspmm" only: contiguous window ranges of `plan` tiling its windows,
+  /// one per shard (a single range when unsharded). Part of the snapshot, so
+  /// a pinned multiply can never be torn across shards.
   std::vector<ShardRange> shards;
 };
 
@@ -334,17 +335,19 @@ class Session : public std::enable_shared_from_this<Session> {
   /// enqueue time and fall back to initial_ inside the (init-gated) task.
   std::shared_ptr<const PlanVersion> TryPinVersion() const;
 
-  /// One multiply attempt on a pinned snapshot assuming init completed OK
-  /// (no waiting). Runs the fault-injection dispatch hook (if an injector is
-  /// attached) and polls `cancel` in the kernel dispatch loop.
+  /// One multiply attempt of a baseline kernel on a pinned snapshot
+  /// assuming init completed OK (no waiting). Runs the fault-injection
+  /// dispatch hook (if an injector is attached) and polls `cancel` in the
+  /// kernel dispatch loop.
   Status MultiplyOnWithThreads(const PlanVersion& v, const DenseMatrix& x,
                                DenseMatrix* z, KernelProfile* profile,
                                int num_threads,
                                const CancelToken* cancel = nullptr) const;
 
-  /// K window ranges of a sharded snapshot, run concurrently; range i is
-  /// one attempt loop of its own under scope options().fault_scope() + i.
-  Status MultiplyShards(const PlanVersion& v, const DenseMatrix& x, DenseMatrix* z,
+  /// An "hcspmm" multiply: the snapshot's window ranges (one when
+  /// unsharded), run in order; range i is one attempt loop of its own under
+  /// scope options().fault_scope() + i.
+  Status MultiplyRanges(const PlanVersion& v, const DenseMatrix& x, DenseMatrix* z,
                         KernelProfile* profile, int num_threads,
                         const ExecControls& ctl) const;
 
@@ -352,8 +355,8 @@ class Session : public std::enable_shared_from_this<Session> {
   /// conversion held in *converted.
   const DenseMatrix* StoredFeatures(const DenseMatrix& x, DenseMatrix* converted) const;
 
-  /// MultiplyOnWithThreads wrapped in the ExecControls retry loop (scope =
-  /// options().fault_scope()), or MultiplyShards for a sharded snapshot.
+  /// MultiplyRanges for "hcspmm", else MultiplyOnWithThreads wrapped in the
+  /// ExecControls retry loop (scope = options().fault_scope()).
   Status MultiplyWithControls(const PlanVersion& v, const DenseMatrix& x,
                               DenseMatrix* z, KernelProfile* profile,
                               int num_threads, const ExecControls& ctl) const;

@@ -11,7 +11,7 @@ std::vector<ShardRange> PartitionWindows(const CsrMatrix& m,
                                          const std::vector<RowWindow>& windows,
                                          const ShardingOptions& options) {
   const int64_t units = static_cast<int64_t>(windows.size());
-  if (units == 0) return {};
+  if (units == 0) return {ShardRange{}};  // one empty range, like one empty window
   const int k = static_cast<int>(
       std::min<int64_t>(std::max(1, options.num_shards), units));
   const std::vector<int64_t>& row_ptr = m.row_ptr();

@@ -64,7 +64,7 @@ struct ShardingOptions {
 /// contiguous ranges (clamped as documented there). Boundary i targets the
 /// prefix-nnz (or prefix-cost) quantile (i+1)/K, rounded to the nearest
 /// window boundary, and every shard keeps at least one window. Empty
-/// `windows` yield no ranges.
+/// `windows` yield one empty range.
 std::vector<ShardRange> PartitionWindows(const CsrMatrix& m,
                                          const std::vector<RowWindow>& windows,
                                          const ShardingOptions& options);

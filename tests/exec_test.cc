@@ -19,23 +19,10 @@
 #include "sparse/generate.h"
 #include "sparse/reference.h"
 #include "util/random.h"
+#include "test_session.h"
 
 namespace hcspmm {
 namespace {
-
-// A session on the default runtime, waited ready before it is returned.
-std::shared_ptr<Session> OpenReady(const std::string& kernel, const CsrMatrix* abar,
-                                   const DeviceSpec& dev, DataType dtype,
-                                   int num_threads = 0) {
-  std::shared_ptr<Session> session = Runtime::Default()->OpenSession(
-      abar, SessionOptions()
-                .set_kernel(kernel)
-                .set_device(dev)
-                .set_dtype(dtype)
-                .set_num_threads(num_threads));
-  (void)session->WaitReady();
-  return session;
-}
 
 // ---------------------------------------------------------------------------
 // ThreadPool
@@ -438,8 +425,8 @@ TEST(HcSpmmPlanValidationTest, RejectsSameShapeMatrixWithDifferentDistribution) 
 
 TEST(SessionSyncApiTest, UnknownKernelSurfacesStatusInsteadOfCrashing) {
   const CsrMatrix m = TestMatrix(14);
-  const std::shared_ptr<Session> session =
-      OpenReady("definitely_not_a_kernel", &m, Rtx3090(), DataType::kTf32);
+  const std::shared_ptr<Session> session = Runtime::Default()->OpenSession(
+      &m, SessionOptions().set_kernel("definitely_not_a_kernel"));
   EXPECT_FALSE(session->WaitReady().ok());
   EXPECT_EQ(session->WaitReady().code(), StatusCode::kInvalidArgument);
   // The diagnostic names the offender and lists what *is* registered.

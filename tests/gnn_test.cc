@@ -19,23 +19,10 @@
 #include "sparse/generate.h"
 #include "sparse/reference.h"
 #include "util/random.h"
+#include "test_session.h"
 
 namespace hcspmm {
 namespace {
-
-// A session on the default runtime, waited ready before it is returned.
-std::shared_ptr<Session> OpenReady(const std::string& kernel, const CsrMatrix* abar,
-                                   const DeviceSpec& dev, DataType dtype,
-                                   int num_threads = 0) {
-  std::shared_ptr<Session> session = Runtime::Default()->OpenSession(
-      abar, SessionOptions()
-                .set_kernel(kernel)
-                .set_device(dev)
-                .set_dtype(dtype)
-                .set_num_threads(num_threads));
-  (void)session->WaitReady();
-  return session;
-}
 
 Graph TestGraph(int n = 200, uint64_t seed = 11) {
   Pcg32 rng(seed);
