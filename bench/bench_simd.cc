@@ -1,5 +1,6 @@
 // Scalar vs. SIMD throughput of the vectorized hot loops: single-thread CSR
-// SpMM on an RMAT graph plus a dense GEMM sweep, each run through the
+// SpMM (fp32, and with TF32-rounded operands) on an RMAT graph plus a dense
+// GEMM sweep, each run through the
 // forced-scalar table and the dispatched table. Working sets are sized to
 // stay cache-resident so the measurement reflects vector width rather than
 // DRAM bandwidth. Every point is checked for bitwise identity between the
@@ -70,23 +71,28 @@ int main(int argc, char** argv) {
   CsrMatrix abar = GcnNormalized(g.adjacency);
   std::printf("  rmat graph: %d rows, %lld nnz\n", abar.rows(),
               static_cast<long long>(abar.nnz()));
-  for (int32_t dim : {32, 64, 128}) {
+  // `spmm` is the plain fp32 kernel; `spmm_tf32` is the rounded kernel the
+  // hybrid's Tensor-routed windows run (TF32 operands, fp32 accumulate).
+  const auto spmm_point = [&](const std::string& op, int32_t dim) {
+    const bool tf32 = op == "spmm_tf32";
+    const auto run = [&](const simd::SimdKernels& k, DenseMatrix* z,
+                         const DenseMatrix& x) {
+      z->Fill(0.0f);
+      if (tf32) {
+        k.spmm_rows_rounded(abar.row_ptr().data(), abar.col_ind().data(),
+                            abar.val().data(), x.RowData(0), z->MutableRowData(0), 0,
+                            abar.rows(), dim, /*bf16=*/false);
+      } else {
+        k.spmm_rows(abar.row_ptr().data(), abar.col_ind().data(), abar.val().data(),
+                    x.RowData(0), z->MutableRowData(0), 0, abar.rows(), dim);
+      }
+    };
     DenseMatrix x = GenerateDense(abar.cols(), dim, &rng);
     DenseMatrix z_scalar(abar.rows(), dim);
     DenseMatrix z_simd(abar.rows(), dim);
     const int iters = dim >= 128 ? 3 : 5;
-    const double scalar_ms = BestOfMs(iters, [&] {
-      z_scalar.Fill(0.0f);
-      scalar.spmm_rows(abar.row_ptr().data(), abar.col_ind().data(),
-                       abar.val().data(), x.RowData(0),
-                       z_scalar.MutableRowData(0), 0, abar.rows(), dim);
-    });
-    const double simd_ms = BestOfMs(iters, [&] {
-      z_simd.Fill(0.0f);
-      vec.spmm_rows(abar.row_ptr().data(), abar.col_ind().data(),
-                    abar.val().data(), x.RowData(0), z_simd.MutableRowData(0), 0,
-                    abar.rows(), dim);
-    });
+    const double scalar_ms = BestOfMs(iters, [&] { run(scalar, &z_scalar, x); });
+    const double simd_ms = BestOfMs(iters, [&] { run(vec, &z_simd, x); });
     const double flops = 2.0 * static_cast<double>(abar.nnz()) * dim;
     // Analytic traffic: per nonzero one index + one value + one gathered
     // feature row, plus the row pointers and the output writes.
@@ -94,10 +100,12 @@ int main(int argc, char** argv) {
                          (abar.rows() + 1) * 8.0 +
                          static_cast<double>(abar.rows()) * dim * 4.0;
     const double diff = z_scalar.MaxAbsDifference(z_simd);
-    points.push_back({"spmm", dim, scalar_ms, simd_ms, diff, diff == 0.0,
+    points.push_back({op, dim, scalar_ms, simd_ms, diff, diff == 0.0,
                       flops / (simd_ms * 1e6), bytes,
                       bytes / static_cast<double>(abar.nnz())});
-  }
+  };
+  for (int32_t dim : {22, 32, 64, 128}) spmm_point("spmm", dim);
+  for (int32_t dim : {32, 64}) spmm_point("spmm_tf32", dim);
 
   // --- Dense GEMM sweep ----------------------------------------------------
   for (int32_t n : {32, 64, 128, 256}) {

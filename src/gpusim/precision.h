@@ -1,39 +1,14 @@
 // Numeric emulation of the reduced-precision formats Tensor cores consume
 // (TF32 / FP16 / BF16). Kernels round their operands through these before
 // multiplying, so hybrid results show the same mixed-precision behaviour as
-// real WMMA (accumulation stays FP32, as on hardware).
+// real WMMA (accumulation stays FP32, as on hardware). RoundTf32 and
+// RoundBf16 live in util/half.h, shared with the SIMD kernels.
 #pragma once
 
-#include <cstdint>
-#include <cstring>
-
 #include "gpusim/device.h"
+#include "util/half.h"
 
 namespace hcspmm {
-
-/// TF32: FP32 with the mantissa truncated to 10 bits (19-bit format).
-inline float RoundTf32(float x) {
-  uint32_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  // Round-to-nearest on bit 13, then clear the low 13 mantissa bits.
-  bits += 1u << 12;
-  bits &= ~((1u << 13) - 1);
-  float out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
-
-/// BF16: FP32 truncated to the top 16 bits with round-to-nearest-even.
-inline float RoundBf16(float x) {
-  uint32_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  uint32_t lsb = (bits >> 16) & 1u;
-  bits += 0x7fffu + lsb;
-  bits &= 0xffff0000u;
-  float out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
 
 /// FP16 (IEEE binary16) via native conversion.
 inline float RoundFp16(float x) {

@@ -56,9 +56,18 @@ void SpmmRowsSerial(const CsrMatrix& a, const DenseMatrix& x, int32_t row_begin,
     }
     return;
   }
-  // Rounded (simulated tensor-path) windows: scalar reference loop. Packed
-  // indices are not consulted here — col_ind is resident either way, and
-  // rounding already dominates; ValueAt widens reduced X exactly before the
+  // Rounded (simulated tensor-path) windows. TF32 and BF16 rounding are
+  // integer bit ops, so they run in the fp32 kernel's register tiles with
+  // each operand rounded on load (bit-identical to the loop below). Packed
+  // indices are not consulted: col_ind is resident either way.
+  if (!x.reduced_storage() && dtype != DataType::kFp16) {
+    simd::Active().spmm_rows_rounded(a.row_ptr().data(), a.col_ind().data(),
+                                     a.val().data(), x.RowData(0), z->MutableRowData(0),
+                                     row_begin, row_end, dim, dtype == DataType::kBf16);
+    return;
+  }
+  // FP16 rounding (a float conversion, not a bit mask) and half-stored X
+  // stay on this scalar loop; ValueAt widens reduced X exactly before the
   // dtype rounding, matching what the hardware would see after upconvert.
   for (int32_t r = row_begin; r < row_end; ++r) {
     float* zr = z->MutableRowData(r);

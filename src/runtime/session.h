@@ -188,6 +188,14 @@ class Session : public std::enable_shared_from_this<Session> {
   /// Non-blocking: has preprocessing completed (successfully or not)?
   bool initialized() const { return init_.ready(); }
 
+  /// Run `cb` with the preprocessing outcome once it is known: inline when
+  /// it already is, else on the completing thread, before any stream
+  /// operation enqueued after this call starts.
+  template <typename F>
+  void OnInitialized(F cb) const {
+    init_.OnReady([init = init_, cb = std::move(cb)] { cb(init.status()); });
+  }
+
   /// z = Abar * x, synchronously on the calling thread with full row-level
   /// parallelism. Appends to `profile` if non-null.
   ///

@@ -1,12 +1,20 @@
 #include "serve/session_pool.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "exec/plan_cache.h"
 #include "runtime/runtime.h"
 
 namespace hcspmm {
+
+namespace {
+
+Status UnknownHandle(uint64_t handle) {
+  return Status::InvalidArgument("SessionPool: unknown graph handle " +
+                                 std::to_string(handle));
+}
+
+}  // namespace
 
 SessionPool::SessionPool(Runtime* runtime, SessionPoolOptions options)
     : runtime_(runtime), options_(std::move(options)) {
@@ -15,16 +23,10 @@ SessionPool::SessionPool(Runtime* runtime, SessionPoolOptions options)
 
 SessionPool::~SessionPool() {
   // An *evicted* session's queued plan build may still be pending with the
-  // build task as its only owner. Wait for every surviving session to
-  // finish preprocessing before the pool goes away.
-  std::vector<std::shared_ptr<Session>> sessions;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const std::weak_ptr<Session>& w : ever_opened_) {
-      if (std::shared_ptr<Session> s = w.lock()) sessions.push_back(std::move(s));
-    }
-  }
-  for (const std::shared_ptr<Session>& s : sessions) (void)s->WaitReady();
+  // build task as its only owner, and every opened session's init callback
+  // (registered in Acquire) reaches back into the pool. Wait for all of them.
+  std::unique_lock<std::mutex> lk(mu_);
+  all_initialized_.wait(lk, [this] { return initializing_ == 0; });
 }
 
 uint64_t SessionPool::RegisterGraph(CsrMatrix abar) {
@@ -56,11 +58,6 @@ int64_t SessionPool::GraphNnz(uint64_t handle) const {
 }
 
 std::shared_ptr<Session> SessionPool::OpenLocked(uint64_t handle, GraphEntry* entry) {
-  ever_opened_.erase(std::remove_if(ever_opened_.begin(), ever_opened_.end(),
-                                    [](const std::weak_ptr<Session>& w) {
-                                      return w.expired();
-                                    }),
-                     ever_opened_.end());
   // The content fingerprint doubles as the graph's fault-domain scope: fault
   // schedules and retry jitter are then deterministic per graph no matter in
   // what order graphs are registered or (re)opened. Shards offset their
@@ -70,9 +67,23 @@ std::shared_ptr<Session> SessionPool::OpenLocked(uint64_t handle, GraphEntry* en
   // Shared-ownership open: the session pins the snapshot itself, so a later
   // ApplyDeltas/Unregister can swap/drop entry->abar safely.
   std::shared_ptr<Session> opened = runtime_->OpenSession(entry->abar, session_options);
-  ever_opened_.push_back(opened);
   ++opened_;
+  ++initializing_;
   return opened;
+}
+
+void SessionPool::DropLocked(const Session* session) {
+  // A session that cannot open is not worth a slot: drop it if its entry
+  // still holds it, so the next Acquire reopens and re-validates.
+  for (auto& [handle, entry] : graphs_) {
+    if (entry.resident && entry.open.get() == session) {
+      lru_.erase(entry.lru_pos);
+      entry.open = nullptr;
+      entry.resident = false;
+      --resident_;
+      return;
+    }
+  }
 }
 
 void SessionPool::EvictToBudgetLocked() {
@@ -88,26 +99,37 @@ void SessionPool::EvictToBudgetLocked() {
 }
 
 Result<std::shared_ptr<Session>> SessionPool::Acquire(uint64_t handle) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = graphs_.find(handle);
-  if (it == graphs_.end()) {
-    return Status::InvalidArgument("SessionPool: unknown graph handle " +
-                                   std::to_string(handle));
+  std::shared_ptr<Session> opened;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = graphs_.find(handle);
+    if (it == graphs_.end()) {
+      return UnknownHandle(handle);
+    }
+    GraphEntry& entry = it->second;
+    if (entry.resident) {
+      ++hits_;
+      lru_.splice(lru_.begin(), lru_, entry.lru_pos);  // refresh
+      return entry.open;
+    }
+    ++misses_;
+    entry.open = OpenLocked(handle, &entry);
+    entry.resident = true;
+    lru_.push_front(handle);
+    entry.lru_pos = lru_.begin();
+    ++resident_;
+    EvictToBudgetLocked();
+    opened = entry.open;
   }
-  GraphEntry& entry = it->second;
-  if (entry.resident) {
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, entry.lru_pos);  // refresh
-    return entry.open;
-  }
-  ++misses_;
-  entry.open = OpenLocked(handle, &entry);
-  entry.resident = true;
-  lru_.push_front(handle);
-  entry.lru_pos = lru_.begin();
-  ++resident_;
-  EvictToBudgetLocked();
-  return entry.open;
+  // Outside the lock: the callback runs inline when the open already
+  // failed (an unknown kernel name).
+  opened->OnInitialized([this, s = opened.get()](const Status& init) {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!init.ok()) DropLocked(s);
+    HCSPMM_CHECK(initializing_ > 0) << "init callback of a session the pool never opened";
+    if (--initializing_ == 0) all_initialized_.notify_all();
+  });
+  return opened;
 }
 
 Result<uint64_t> SessionPool::ApplyDeltas(uint64_t handle, const DeltaBatch& batch,
@@ -115,8 +137,7 @@ Result<uint64_t> SessionPool::ApplyDeltas(uint64_t handle, const DeltaBatch& bat
   std::lock_guard<std::mutex> lk(mu_);
   auto it = graphs_.find(handle);
   if (it == graphs_.end()) {
-    return Status::InvalidArgument("SessionPool: unknown graph handle " +
-                                   std::to_string(handle));
+    return UnknownHandle(handle);
   }
   GraphEntry& entry = it->second;
 
@@ -160,8 +181,7 @@ Status SessionPool::Unregister(uint64_t handle) {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = graphs_.find(handle);
   if (it == graphs_.end()) {
-    return Status::InvalidArgument("SessionPool: unknown graph handle " +
-                                   std::to_string(handle));
+    return UnknownHandle(handle);
   }
   if (it->second.resident) {
     lru_.erase(it->second.lru_pos);

@@ -10,12 +10,12 @@
 // concurrent facade.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "runtime/session.h"
 #include "sparse/csr.h"
@@ -51,9 +51,8 @@ class SessionPool {
  public:
   SessionPool(Runtime* runtime, SessionPoolOptions options);
   /// Blocks until every session the pool ever opened (including evicted
-  /// ones still finishing their queued plan build) is done preprocessing —
-  /// sessions read the pool-owned CSR during plan building, so the graphs
-  /// must not be freed under them. Callers must still drain their own
+  /// ones still finishing their queued plan build) is done preprocessing
+  /// and its init callback has run. Callers must still drain their own
   /// multiplies and drop acquired sessions before destroying the pool.
   ~SessionPool();
   SessionPool(const SessionPool&) = delete;
@@ -81,8 +80,10 @@ class SessionPool {
   /// Opening is non-blocking — plan building runs on the runtime pool, and
   /// the session's operations gate on it — and may evict the
   /// least-recently-used open session to hold the budget. Holding the
-  /// returned session keeps it alive across eviction. Unknown handles
-  /// return InvalidArgument.
+  /// returned session keeps it alive across eviction. A session whose open
+  /// fails (say, a malformed CSR) leaves the pool as soon as it fails, so it
+  /// holds no slot and the next Acquire reopens it. Unknown handles return
+  /// InvalidArgument.
   Result<std::shared_ptr<Session>> Acquire(uint64_t handle);
 
   /// Streaming admission: patch the registered graph `handle` in place with
@@ -127,6 +128,8 @@ class SessionPool {
   /// domain (shards offset from it).
   std::shared_ptr<Session> OpenLocked(uint64_t handle, GraphEntry* entry);
   void EvictToBudgetLocked();
+  /// Drop `session` from the LRU if its entry still holds it (lock held).
+  void DropLocked(const Session* session);
 
   Runtime* runtime_;
   SessionPoolOptions options_;
@@ -134,9 +137,10 @@ class SessionPool {
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, GraphEntry> graphs_;
   std::list<uint64_t> lru_;  // front = most recently used, resident only
-  /// Weak refs to every session ever opened; the destructor waits on the
-  /// survivors so no plan-build task outlives the pool.
-  std::vector<std::weak_ptr<Session>> ever_opened_;
+  /// Opened sessions whose init callback has not run yet; the destructor
+  /// waits for zero so no plan build or callback outlives the pool.
+  int64_t initializing_ = 0;
+  std::condition_variable all_initialized_;
   int64_t resident_ = 0;
   int64_t hits_ = 0;
   int64_t misses_ = 0;

@@ -1,16 +1,45 @@
-// Scalar fp16 / bf16 <-> fp32 conversions used by the reduced-precision
-// feature storage path. Storage is always raw uint16_t bit patterns; the
-// SIMD kernels convert on load and accumulate in fp32, so these conversions
-// are the *only* place precision is lost. Both directions are deterministic
-// (round-to-nearest-even on narrowing, exact on widening), so reduced-
-// precision results are identical at every SIMD level / thread count — just
-// not identical to fp32.
+// Scalar reduced-precision arithmetic, the one definition every caller
+// shares: the TF32 / BF16 operand rounding of the simulated Tensor cores
+// (gpusim/precision.h, and the rounded SIMD SpMM kernel's scalar lanes) and
+// the fp16 / bf16 <-> fp32 conversions of the reduced-precision feature
+// storage path. Storage is always raw uint16_t bit patterns; the SIMD
+// kernels convert on load and accumulate in fp32, so these conversions are
+// the *only* place precision is lost. Every function is deterministic
+// (round-to-nearest on narrowing, exact on widening), so reduced-precision
+// results are identical at every SIMD level / thread count — just not
+// identical to fp32.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 
 namespace hcspmm {
+
+/// TF32: FP32 with the mantissa rounded to 10 bits (19-bit format). Pure
+/// integer ops, mirrored lane-wise by the SIMD Traits' RoundTf32F.
+inline float RoundTf32(float x) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  // Round-to-nearest on bit 13, then clear the low 13 mantissa bits.
+  bits += 1u << 12;
+  bits &= ~((1u << 13) - 1);
+  float out;
+  std::memcpy(&out, &bits, sizeof(out));
+  return out;
+}
+
+/// BF16: FP32 rounded to its top 16 bits with round-to-nearest-even, kept
+/// as an fp32 value. Mirrored lane-wise by the SIMD Traits' RoundBf16F.
+inline float RoundBf16(float x) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  const uint32_t lsb = (bits >> 16) & 1u;
+  bits += 0x7fffu + lsb;
+  bits &= 0xffff0000u;
+  float out;
+  std::memcpy(&out, &bits, sizeof(out));
+  return out;
+}
 
 /// fp32 -> IEEE binary16 bit pattern (round-to-nearest-even, hardware
 /// semantics via the compiler's _Float16 — the same type RoundFp16 in
@@ -46,14 +75,11 @@ inline float F16BitsToF32(uint16_t bits) {
   return f;
 }
 
-/// fp32 -> bfloat16 bit pattern: keep the top 16 bits of the fp32 encoding
-/// with round-to-nearest-even on the dropped mantissa half — the same
-/// rounding RoundBf16 in gpusim/precision.h applies before widening back.
+/// fp32 -> bfloat16 bit pattern: the top 16 bits of RoundBf16(x).
 inline uint16_t F32ToBf16Bits(float x) {
+  const float rounded = RoundBf16(x);
   uint32_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  const uint32_t lsb = (bits >> 16) & 1u;
-  bits += 0x7fffu + lsb;
+  std::memcpy(&bits, &rounded, sizeof(bits));
   return static_cast<uint16_t>(bits >> 16);
 }
 

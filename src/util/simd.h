@@ -1,9 +1,10 @@
 // Portable SIMD execution layer: every scalar inner loop of the functional
-// engine (CSR SpMM, the three GEMM row kernels, and the elementwise /
-// optimizer passes) exists once as a generic body (simd_kernels_impl.h) that
-// is instantiated per instruction set in its own translation unit compiled
-// with the matching ISA flags. A runtime-dispatched table of function
-// pointers selects the widest implementation the CPU supports.
+// engine (CSR SpMM — plain and with TF32/BF16-rounded operands — the three
+// GEMM row kernels, and the elementwise / optimizer passes) exists once as
+// a generic body (simd_kernels_impl.h) that is instantiated per instruction
+// set in its own translation unit compiled with the matching ISA flags. A
+// runtime-dispatched table of function pointers selects the widest
+// implementation the CPU supports.
 //
 // Bit-identity contract: vectorization is strictly along the independent
 // output-column axis (GEMM tiles also span output rows, never k) with
@@ -11,9 +12,10 @@
 // -ffp-contract=off so no FMA contraction can sneak in), so every output
 // element is produced by exactly the same sequence of IEEE operations as
 // the scalar reference, up to the GEMMs' masked +0 adds for zero A
-// elements, which are exact identities — fp32 results are bit-identical
-// across all levels, thread counts, and shard counts. tests/simd_test.cc
-// asserts this against naive oracles and the forced-scalar table.
+// elements, which are exact identities — fp32 and TF32/BF16-rounded results
+// are bit-identical across all levels, thread counts, and shard counts.
+// tests/simd_test.cc asserts this against naive oracles and the
+// forced-scalar table.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +38,17 @@ struct SimdKernels {
   void (*spmm_rows)(const int64_t* row_ptr, const int32_t* col_ind, const float* val,
                     const float* x, float* z, int32_t row_begin, int32_t row_end,
                     int32_t dim);
+
+  /// spmm_rows with both operands rounded to a Tensor-core input format
+  /// first, as the hybrid's Tensor-routed windows compute:
+  ///   z[r, :] += R(val[k]) * R(x[col_ind[k], :]),
+  /// R = RoundBf16 if bf16 else RoundTf32 (util/half.h), in the same
+  /// register tiles and per-element order as spmm_rows — so the result is
+  /// bit-identical to the scalar rounded loop at every level.
+  void (*spmm_rows_rounded)(const int64_t* row_ptr, const int32_t* col_ind,
+                            const float* val, const float* x, float* z,
+                            int32_t row_begin, int32_t row_end, int32_t dim,
+                            bool bf16);
 
   /// spmm_rows over a packed (delta-encoded) column-index stream
   /// (util/packed_index.h format; row r's bytes start at stream +

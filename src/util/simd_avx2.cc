@@ -27,6 +27,18 @@ struct Avx2Traits {
 
   static VF LoadF(const float* p) { return _mm256_loadu_ps(p); }
   static void StoreF(float* p, VF v) { _mm256_storeu_ps(p, v); }
+  // Lanes [0, n): masked-off lanes read as 0, are never written, and never
+  // fault, so a partial vector at the end of an allocation is safe.
+  static __m256i FirstLanes(int n) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  static VF LoadPartialF(const float* p, int n) {
+    return _mm256_maskload_ps(p, FirstLanes(n));
+  }
+  static void StorePartialF(float* p, VF v, int n) {
+    _mm256_maskstore_ps(p, FirstLanes(n), v);
+  }
   static VF BroadcastF(float s) { return _mm256_set1_ps(s); }
   static VD LoadD(const double* p) { return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4)}; }
   static VD BroadcastD(double s) { return {_mm256_set1_pd(s), _mm256_set1_pd(s)}; }
@@ -45,6 +57,19 @@ struct Avx2Traits {
   // Unordered not-equal: a NaN gate keeps x, like the scalar `gate != 0`.
   static VF NonzeroAndF(VF gate, VF x) {
     return _mm256_and_ps(_mm256_cmp_ps(gate, _mm256_setzero_ps(), _CMP_NEQ_UQ), x);
+  }
+  static VF RoundTf32F(VF v) {
+    const __m256i bits =
+        _mm256_add_epi32(_mm256_castps_si256(v), _mm256_set1_epi32(1 << 12));
+    return _mm256_castsi256_ps(_mm256_and_si256(bits, _mm256_set1_epi32(~0x1fff)));
+  }
+  static VF RoundBf16F(VF v) {
+    const __m256i bits = _mm256_castps_si256(v);
+    const __m256i lsb =
+        _mm256_and_si256(_mm256_srli_epi32(bits, 16), _mm256_set1_epi32(1));
+    const __m256i up = _mm256_add_epi32(_mm256_set1_epi32(0x7fff), lsb);
+    return _mm256_castsi256_ps(_mm256_and_si256(
+        _mm256_add_epi32(bits, up), _mm256_set1_epi32(static_cast<int>(0xffff0000u))));
   }
   static VD AddD(VD a, VD b) {
     return {_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};

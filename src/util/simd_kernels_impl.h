@@ -8,20 +8,24 @@
 //   using VF / VD;                           // W floats / W doubles
 //   VF  LoadF(const float*);                 // unaligned
 //   void StoreF(float*, VF);
+//   VF  LoadPartialF(const float*, int n);   // lanes [0, n), rest 0; n < W,
+//   void StorePartialF(float*, VF, int n);   // touching no byte past p + n
 //   VF  BroadcastF(float);  VD BroadcastD(double);  VD ZeroD();
 //   VF  AddF(VF, VF);  VF SubF(VF, VF);  VF MulF(VF, VF);
 //   VF  ReluF(VF);                           // x < 0 ? 0 : x  (NaN, -0 pass)
 //   VF  Gt0AndF(VF gate, VF x);              // gate > 0 ? x : 0
 //   VF  NonzeroAndF(VF gate, VF x);          // gate != 0 ? x : +0 (NaN: x)
+//   VF  RoundTf32F(VF);  VF RoundBf16F(VF);  // RoundTf32 / RoundBf16 per lane
 //   VD  LoadD(const double*);                // unaligned
 //   VD  AddD(VD, VD);  VD MulD(VD, VD);  VD DivD(VD, VD);  VD SqrtD(VD);
 //   VD  WidenFToD(VF);                       // exact
 //   VF  NarrowDToF(VD);                      // round-to-nearest-even
 //
 // Bit-identity: every op above maps to one IEEE-754 operation per lane (or
-// an exact conversion or a bit mask), lanes only ever span *independent*
-// outputs, and the scalar tails below repeat the seed expressions verbatim —
-// so each output element sees the same operation sequence at every width.
+// an exact conversion, integer bit op or masked move), lanes only ever span
+// *independent* outputs, and the scalar tails below repeat the seed
+// expressions verbatim — so each output element sees the same operation
+// sequence at every width.
 
 #pragma once
 
@@ -52,13 +56,35 @@ inline void AxpyRowT(float s, const float* src, float* dst, int32_t n) {
 // prefetches; far enough to cover a DRAM miss at a few ns per nonzero.
 constexpr int64_t kSpmmPrefetchDistance = 8;
 
+// Operand rounding of the SpMM row kernel. kNone is the plain fp32 kernel;
+// kTf32 and kBf16 round the broadcast value and every loaded feature-row
+// vector to a Tensor-core input format first, as the hybrid's
+// Tensor-routed windows compute. The vector forms are the integer bit ops
+// of RoundTf32 / RoundBf16 lane by lane, so every lane matches the scalar
+// rounding exactly.
+enum class Rounding { kNone, kTf32, kBf16 };
+
+template <Rounding kR>
+inline float RoundS(float s) {
+  if constexpr (kR == Rounding::kTf32) return RoundTf32(s);
+  if constexpr (kR == Rounding::kBf16) return RoundBf16(s);
+  return s;
+}
+
+template <typename T, Rounding kR>
+inline typename T::VF RoundV(typename T::VF v) {
+  if constexpr (kR == Rounding::kTf32) return T::RoundTf32F(v);
+  if constexpr (kR == Rounding::kBf16) return T::RoundBf16F(v);
+  return v;
+}
+
 // One register tile of SpmmRowsT: output columns [0, NV * W) of zt (a row of
 // z offset to the tile) accumulate every nonzero k in [k_begin, k_end) of the
 // row in NV vector registers — z is loaded and stored once per tile instead
 // of once per nonzero. Each lane still sees z + p_0 + p_1 + ... with separate
 // mul and add in k order, the exact sequence of AxpyRowT. xt is x offset to
 // the tile's first column; prefetches stay below k_limit.
-template <typename T, int NV>
+template <typename T, Rounding kR, int NV>
 inline void SpmmTileT(const int32_t* col_ind, const float* val, const float* xt,
                       float* zt, int64_t k_begin, int64_t k_end, int64_t k_limit,
                       int32_t dim) {
@@ -74,18 +100,36 @@ inline void SpmmTileT(const int32_t* col_ind, const float* val, const float* xt,
       }
     }
     const float* xr = xt + static_cast<int64_t>(col_ind[k]) * dim;
-    const typename T::VF vs = T::BroadcastF(val[k]);
+    const typename T::VF vs = T::BroadcastF(RoundS<kR>(val[k]));
     for (int v = 0; v < NV; ++v) {
-      acc[v] = T::AddF(acc[v], T::MulF(vs, T::LoadF(xr + v * T::kWidth)));
+      acc[v] = T::AddF(acc[v],
+                       T::MulF(vs, RoundV<T, kR>(T::LoadF(xr + v * T::kWidth))));
     }
   }
   for (int v = 0; v < NV; ++v) T::StoreF(zt + v * T::kWidth, acc[v]);
 }
 
+// The last n < W output columns of a row as one partial vector: the same
+// per-lane sequence as SpmmTileT, with loads and stores limited to n lanes
+// so neither z nor the last gathered x row is read or written past its end.
+template <typename T, Rounding kR>
+inline void SpmmPartialTileT(const int32_t* col_ind, const float* val,
+                             const float* xt, float* zt, int64_t k_begin,
+                             int64_t k_end, int32_t dim, int n) {
+  typename T::VF acc = T::LoadPartialF(zt, n);
+  for (int64_t k = k_begin; k < k_end; ++k) {
+    const float* xr = xt + static_cast<int64_t>(col_ind[k]) * dim;
+    acc = T::AddF(acc, T::MulF(T::BroadcastF(RoundS<kR>(val[k])),
+                               RoundV<T, kR>(T::LoadPartialF(xr, n))));
+  }
+  T::StorePartialF(zt, acc, n);
+}
+
 // z[r, :] += A[r, :] * x row by row, in column tiles of 8, 4, 2 and 1
-// vectors and then a scalar column tail, so each output element is loaded
-// and stored once per row rather than once per nonzero.
-template <typename T>
+// vectors and then one partial vector for the last dim % W columns, so each
+// output element is loaded and stored once per row rather than once per
+// nonzero.
+template <typename T, Rounding kR>
 void SpmmRowsT(const int64_t* row_ptr, const int32_t* col_ind, const float* val,
                const float* x, float* z, int32_t row_begin, int32_t row_end,
                int32_t dim) {
@@ -97,27 +141,36 @@ void SpmmRowsT(const int64_t* row_ptr, const int32_t* col_ind, const float* val,
     const int64_t ke = row_ptr[r + 1];
     int32_t j = 0;
     for (; j + 8 * W <= dim; j += 8 * W) {
-      SpmmTileT<T, 8>(col_ind, val, x + j, zr + j, kb, ke, k_limit, dim);
+      SpmmTileT<T, kR, 8>(col_ind, val, x + j, zr + j, kb, ke, k_limit, dim);
     }
     if (j + 4 * W <= dim) {
-      SpmmTileT<T, 4>(col_ind, val, x + j, zr + j, kb, ke, k_limit, dim);
+      SpmmTileT<T, kR, 4>(col_ind, val, x + j, zr + j, kb, ke, k_limit, dim);
       j += 4 * W;
     }
     if (j + 2 * W <= dim) {
-      SpmmTileT<T, 2>(col_ind, val, x + j, zr + j, kb, ke, k_limit, dim);
+      SpmmTileT<T, kR, 2>(col_ind, val, x + j, zr + j, kb, ke, k_limit, dim);
       j += 2 * W;
     }
     if (j + W <= dim) {
-      SpmmTileT<T, 1>(col_ind, val, x + j, zr + j, kb, ke, k_limit, dim);
+      SpmmTileT<T, kR, 1>(col_ind, val, x + j, zr + j, kb, ke, k_limit, dim);
       j += W;
     }
-    for (; j < dim; ++j) {
-      float acc = zr[j];
-      for (int64_t k = kb; k < ke; ++k) {
-        acc += val[k] * x[static_cast<int64_t>(col_ind[k]) * dim + j];
-      }
-      zr[j] = acc;
+    if (j < dim) {
+      SpmmPartialTileT<T, kR>(col_ind, val, x + j, zr + j, kb, ke, dim, dim - j);
     }
+  }
+}
+
+template <typename T>
+void SpmmRowsRoundedT(const int64_t* row_ptr, const int32_t* col_ind,
+                      const float* val, const float* x, float* z, int32_t row_begin,
+                      int32_t row_end, int32_t dim, bool bf16) {
+  if (bf16) {
+    SpmmRowsT<T, Rounding::kBf16>(row_ptr, col_ind, val, x, z, row_begin, row_end,
+                                  dim);
+  } else {
+    SpmmRowsT<T, Rounding::kTf32>(row_ptr, col_ind, val, x, z, row_begin, row_end,
+                                  dim);
   }
 }
 
@@ -557,7 +610,8 @@ template <typename T>
 SimdKernels MakeKernels(SimdLevel level) {
   SimdKernels k;
   k.level = level;
-  k.spmm_rows = &SpmmRowsT<T>;
+  k.spmm_rows = &SpmmRowsT<T, Rounding::kNone>;
+  k.spmm_rows_rounded = &SpmmRowsRoundedT<T>;
   k.spmm_rows_packed = &SpmmRowsPackedT<T>;
   k.spmm_rows_half = &SpmmRowsHalfT<T>;
   k.spmm_rows_packed_half = &SpmmRowsPackedHalfT<T>;

@@ -27,6 +27,18 @@ struct NeonTraits {
 
   static VF LoadF(const float* p) { return vld1q_f32(p); }
   static void StoreF(float* p, VF v) { vst1q_f32(p, v); }
+  // Lanes [0, n) through a small aligned buffer: exactly n floats are read
+  // or written.
+  static VF LoadPartialF(const float* p, int n) {
+    alignas(16) float buf[kWidth] = {};
+    for (int i = 0; i < n; ++i) buf[i] = p[i];
+    return vld1q_f32(buf);
+  }
+  static void StorePartialF(float* p, VF v, int n) {
+    alignas(16) float buf[kWidth];
+    vst1q_f32(buf, v);
+    for (int i = 0; i < n; ++i) p[i] = buf[i];
+  }
   static VF BroadcastF(float s) { return vdupq_n_f32(s); }
   static VD LoadD(const double* p) { return {vld1q_f64(p), vld1q_f64(p + 2)}; }
   static VD BroadcastD(double s) { return {vdupq_n_f64(s), vdupq_n_f64(s)}; }
@@ -49,6 +61,17 @@ struct NeonTraits {
   static VF NonzeroAndF(VF gate, VF x) {
     const uint32x4_t eq0 = vceqq_f32(gate, vdupq_n_f32(0.0f));
     return vreinterpretq_f32_u32(vbicq_u32(vreinterpretq_u32_f32(x), eq0));
+  }
+  static VF RoundTf32F(VF v) {
+    const uint32x4_t bits = vaddq_u32(vreinterpretq_u32_f32(v), vdupq_n_u32(1u << 12));
+    return vreinterpretq_f32_u32(vandq_u32(bits, vdupq_n_u32(~0x1fffu)));
+  }
+  static VF RoundBf16F(VF v) {
+    const uint32x4_t bits = vreinterpretq_u32_f32(v);
+    const uint32x4_t lsb = vandq_u32(vshrq_n_u32(bits, 16), vdupq_n_u32(1u));
+    const uint32x4_t up = vaddq_u32(vdupq_n_u32(0x7fffu), lsb);
+    return vreinterpretq_f32_u32(
+        vandq_u32(vaddq_u32(bits, up), vdupq_n_u32(0xffff0000u)));
   }
   static VD AddD(VD a, VD b) { return {vaddq_f64(a.lo, b.lo), vaddq_f64(a.hi, b.hi)}; }
   static VD MulD(VD a, VD b) { return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)}; }

@@ -20,6 +20,11 @@ struct ScalarTraits {
 
   static VF LoadF(const float* p) { return *p; }
   static void StoreF(float* p, VF v) { *p = v; }
+  // Width 1 leaves no partial vector; defined for the Traits contract only.
+  static VF LoadPartialF(const float* p, int n) { return n > 0 ? *p : 0.0f; }
+  static void StorePartialF(float* p, VF v, int n) {
+    if (n > 0) *p = v;
+  }
   static VF BroadcastF(float s) { return s; }
   static VD LoadD(const double* p) { return *p; }
   static VD BroadcastD(double s) { return s; }
@@ -30,6 +35,8 @@ struct ScalarTraits {
   static VF ReluF(VF v) { return v < 0.0f ? 0.0f : v; }
   static VF Gt0AndF(VF gate, VF x) { return gate > 0.0f ? x : 0.0f; }
   static VF NonzeroAndF(VF gate, VF x) { return gate != 0.0f ? x : 0.0f; }
+  static VF RoundTf32F(VF v) { return RoundTf32(v); }
+  static VF RoundBf16F(VF v) { return RoundBf16(v); }
   static VD AddD(VD a, VD b) { return a + b; }
   static VD MulD(VD a, VD b) { return a * b; }
   static VD DivD(VD a, VD b) { return a / b; }

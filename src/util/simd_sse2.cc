@@ -25,6 +25,18 @@ struct Sse2Traits {
 
   static VF LoadF(const float* p) { return _mm_loadu_ps(p); }
   static void StoreF(float* p, VF v) { _mm_storeu_ps(p, v); }
+  // Lanes [0, n) through a small aligned buffer: exactly n floats are read
+  // or written.
+  static VF LoadPartialF(const float* p, int n) {
+    alignas(16) float buf[kWidth] = {};
+    for (int i = 0; i < n; ++i) buf[i] = p[i];
+    return _mm_load_ps(buf);
+  }
+  static void StorePartialF(float* p, VF v, int n) {
+    alignas(16) float buf[kWidth];
+    _mm_store_ps(buf, v);
+    for (int i = 0; i < n; ++i) p[i] = buf[i];
+  }
   static VF BroadcastF(float s) { return _mm_set1_ps(s); }
   static VD LoadD(const double* p) { return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2)}; }
   static VD BroadcastD(double s) { return {_mm_set1_pd(s), _mm_set1_pd(s)}; }
@@ -43,6 +55,17 @@ struct Sse2Traits {
   // cmpneq is unordered: a NaN gate keeps x, like the scalar `gate != 0`.
   static VF NonzeroAndF(VF gate, VF x) {
     return _mm_and_ps(_mm_cmpneq_ps(gate, _mm_setzero_ps()), x);
+  }
+  static VF RoundTf32F(VF v) {
+    const __m128i bits = _mm_add_epi32(_mm_castps_si128(v), _mm_set1_epi32(1 << 12));
+    return _mm_castsi128_ps(_mm_and_si128(bits, _mm_set1_epi32(~0x1fff)));
+  }
+  static VF RoundBf16F(VF v) {
+    const __m128i bits = _mm_castps_si128(v);
+    const __m128i lsb = _mm_and_si128(_mm_srli_epi32(bits, 16), _mm_set1_epi32(1));
+    const __m128i up = _mm_add_epi32(_mm_set1_epi32(0x7fff), lsb);
+    return _mm_castsi128_ps(_mm_and_si128(
+        _mm_add_epi32(bits, up), _mm_set1_epi32(static_cast<int>(0xffff0000u))));
   }
   static VD AddD(VD a, VD b) {
     return {_mm_add_pd(a.lo, b.lo), _mm_add_pd(a.hi, b.hi)};

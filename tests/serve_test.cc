@@ -319,6 +319,26 @@ TEST(ServerTest, MalformedGraphResolvesTypedInsteadOfCrashing) {
   EXPECT_EQ(f.status().code(), StatusCode::kInvalidArgument) << f.status().ToString();
 }
 
+TEST(ServerTest, MalformedGraphSessionLeavesThePoolAndReopensEachTime) {
+  // A session that failed to open must not stay resident as a dead "hit":
+  // every request reopens, re-validates and fails typed again, and no pool
+  // slot stays taken.
+  Runtime rt;
+  Server server(&rt, BatchingOptions(1, 0));
+  const uint64_t graph =
+      server.RegisterGraph(CsrMatrix(2, 2, {0, 1, 1}, {50'000'000}, {1.0f}));
+  for (int i = 0; i < 3; ++i) {
+    Future<DenseMatrix> f = server.Submit({"t", graph, DenseMatrix(2, 4, 1.0f)});
+    EXPECT_EQ(f.status().code(), StatusCode::kInvalidArgument)
+        << "request " << i << ": " << f.status().ToString();
+  }
+  const SessionPoolStats pool = server.pool()->stats();
+  EXPECT_EQ(pool.resident, 0);
+  EXPECT_EQ(pool.hits, 0);
+  EXPECT_EQ(pool.misses, 3);
+  EXPECT_EQ(pool.opened, 3);
+}
+
 TEST(ServerTest, FullBatchScattersBitIdenticalResults) {
   Runtime rt;
   CsrMatrix abar = ServeMatrix(51);

@@ -1,8 +1,9 @@
 // SIMD execution layer: lane-width/tail handling, bitwise identity of the
-// SpMM and GEMM row kernels against naive in-test oracles at every level and
-// of every dispatched kernel against the forced-scalar reference table (including
-// full GCN/GIN training and the sharded path), DenseMatrix alignment, and
-// the HCSPMM_FORCE_SCALAR environment round-trip.
+// SpMM (plain and TF32/BF16-rounded) and GEMM row kernels against naive
+// in-test oracles at every level and of every dispatched kernel against the
+// forced-scalar reference table (including full GCN/GIN training, TF32
+// session multiplies and the sharded path), DenseMatrix alignment, and the
+// HCSPMM_FORCE_SCALAR environment round-trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "sparse/generate.h"
 #include "sparse/reference.h"
 #include "util/cpu_features.h"
+#include "util/half.h"
 #include "util/random.h"
 #include "util/simd.h"
 
@@ -185,6 +187,196 @@ TEST(SimdKernelTest, SpmmMatchesNaiveOracleAtEveryLevelAndTile) {
   }
 }
 
+// The spmm_rows_rounded definition: the scalar loop the Tensor-routed
+// windows ran before they had a tiled kernel, verbatim, with the shared
+// RoundTf32 / RoundBf16 of util/half.h, accumulating into whatever z held.
+void NaiveRoundedSpmmRows(const CsrMatrix& a, const DenseMatrix& x, bool bf16,
+                          DenseMatrix* z) {
+  const auto round = [bf16](float f) { return bf16 ? RoundBf16(f) : RoundTf32(f); };
+  const int32_t dim = x.cols();
+  for (int32_t r = 0; r < a.rows(); ++r) {
+    float* zr = z->MutableRowData(r);
+    for (int64_t k = a.RowBegin(r); k < a.RowEnd(r); ++k) {
+      const float v = round(a.val()[k]);
+      const int32_t col = a.col_ind()[k];
+      const float* xr = x.RowData(col);
+      for (int32_t j = 0; j < dim; ++j) zr[j] += v * round(xr[j]);
+    }
+  }
+}
+
+// kDimSweep plus 22 (two AVX2 vectors and a partial one: the GCN class
+// count of synthesized Pubmed).
+std::vector<int32_t> DimSweepWith22() {
+  std::vector<int32_t> dims = kDimSweep;
+  dims.push_back(22);
+  return dims;
+}
+
+TEST(SimdKernelTest, RoundedSpmmMatchesNaiveOracleAtEveryLevelAndTile) {
+  for (bool bf16 : {false, true}) {
+    for (int32_t dim : DimSweepWith22()) {
+      Pcg32 rng(57 + dim);
+      const CsrMatrix a = WithEmptyRows(GenerateUniformSparse(120, 90, 0.08, &rng));
+      const DenseMatrix x = GenerateDense(90, dim, &rng);
+      const DenseMatrix z0 = GenerateDense(a.rows(), dim, &rng);
+      DenseMatrix expected = z0;
+      NaiveRoundedSpmmRows(a, x, bf16, &expected);
+      // The rounding must be visible, or the test would pass on spmm_rows.
+      DenseMatrix unrounded = z0;
+      NaiveSpmmRows(a, x, &unrounded);
+      ASSERT_GT(expected.MaxAbsDifference(unrounded), 0.0) << "dim " << dim;
+      for (SimdLevel level : kAllLevels) {
+        const simd::SimdKernels& k = simd::KernelsFor(level);
+        DenseMatrix z = z0;
+        k.spmm_rows_rounded(a.row_ptr().data(), a.col_ind().data(), a.val().data(),
+                            x.RowData(0), z.MutableRowData(0), 0, a.rows(), dim, bf16);
+        ExpectBitwiseEqual(expected, z, SimdLevelName(k.level));
+        z = z0;
+        for (int32_t begin = 0; begin < a.rows(); begin += 37) {
+          const int32_t end = std::min(a.rows(), begin + 37);
+          k.spmm_rows_rounded(a.row_ptr().data(), a.col_ind().data(), a.val().data(),
+                              x.RowData(0), z.MutableRowData(0), begin, end, dim, bf16);
+        }
+        ExpectBitwiseEqual(expected, z, SimdLevelName(k.level));
+      }
+    }
+  }
+}
+
+float FromBits(uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+uint32_t ToBits(float f) {
+  uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
+TEST(SimdKernelTest, RoundedSpmmRoundsEdgeValuesLikeTheScalarRounding) {
+  const std::vector<uint32_t> edges = {
+      0x00000000u, 0x80000000u,  // +0, -0
+      0x7f800000u, 0xff800000u,  // +Inf, -Inf
+      0x7fc00000u, 0xffc00000u,  // quiet NaNs
+      0x7fffffffu,               // NaN: + (1 << 12) carries into the sign bit
+      0xffffffffu,               // NaN: + (1 << 12) wraps to +0
+      0x7f800001u,               // signalling NaN that rounds to Inf
+      0x7fbfffffu,               // signalling NaN that rounds to a quiet one
+      0x00000001u, 0x80000fffu,  // subnormals that round to zero
+      0x00001000u, 0x007fffffu,  // subnormal tie; carry into the normals
+      0x3f801000u, 0x3f803000u,  // TF32 ties at bit 12
+      0x3f800fffu, 0x3f808000u,  // below a TF32 tie; BF16 tie, even
+      0x3f818000u, 0xbf818000u,  // BF16 ties, odd
+      0x3fffffffu, 0xbfffffffu,  // mantissas that carry into the exponent
+      0x7f7fffffu, 0xff7fffffu,  // FLT_MAX: the carry overflows to Inf
+      0x3f9e0419u, 0x40490fdbu,  // ordinary values
+  };
+  const int32_t n = static_cast<int32_t>(edges.size());
+  for (bool bf16 : {false, true}) {
+    const auto round = [bf16](float f) { return bf16 ? RoundBf16(f) : RoundTf32(f); };
+    for (int32_t dim : {1, 7, 9, 22, 26}) {
+      // X holds the edge values (each also scaled by val 1): row r of A
+      // picks X row r, so z = -0 + 1 * R(x) = R(x) exactly. Then A's values
+      // hold them against all-ones X rows.
+      const int32_t rows = (n + dim - 1) / dim;
+      DenseMatrix x(rows + 1, dim, 1.0f);
+      for (int32_t i = 0; i < n; ++i) x.At(i / dim, i % dim) = FromBits(edges[i]);
+      std::vector<int64_t> row_ptr = {0};
+      std::vector<int32_t> col_ind;
+      std::vector<float> val;
+      for (int32_t r = 0; r < rows; ++r) {
+        col_ind.push_back(r);
+        val.push_back(1.0f);
+        row_ptr.push_back(static_cast<int64_t>(col_ind.size()));
+      }
+      for (int32_t i = 0; i < n; ++i) {
+        col_ind.push_back(rows);
+        val.push_back(FromBits(edges[i]));
+        row_ptr.push_back(static_cast<int64_t>(col_ind.size()));
+      }
+      const CsrMatrix a(rows + n, rows + 1, std::move(row_ptr), std::move(col_ind),
+                        std::move(val));
+      const DenseMatrix z0(a.rows(), dim, -0.0f);
+      DenseMatrix expected = z0;
+      NaiveRoundedSpmmRows(a, x, bf16, &expected);
+      for (int32_t i = 0; i < n; ++i) {
+        const float want = round(FromBits(edges[i]));
+        if (std::isnan(want)) continue;  // 1 * NaN may quiet the payload
+        ASSERT_EQ(ToBits(expected.At(i / dim, i % dim)), ToBits(want)) << i;
+        ASSERT_EQ(ToBits(expected.At(rows + i, 0)), ToBits(want)) << i;
+      }
+      for (SimdLevel level : kAllLevels) {
+        const simd::SimdKernels& k = simd::KernelsFor(level);
+        DenseMatrix z = z0;
+        k.spmm_rows_rounded(a.row_ptr().data(), a.col_ind().data(), a.val().data(),
+                            x.RowData(0), z.MutableRowData(0), 0, a.rows(), dim, bf16);
+        ExpectBitwiseEqual(expected, z, SimdLevelName(k.level));
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, PartialTailStaysInsideExactSizeBuffers) {
+  // X and z are exact-size heap buffers and the last nonzero gathers X's
+  // last row, so a partial vector that read or wrote past n lanes would
+  // touch memory past the allocation (caught under ASan, which does not see
+  // inside the AVX2 masked-move builtins). A guard row after z then catches
+  // a store past n lanes at every level, sanitizer or not.
+  for (int32_t dim : {1, 3, 7, 9, 22, 33}) {
+    Pcg32 rng(3 + dim);
+    const int32_t x_rows = 40;
+    CsrMatrix a = GenerateUniformSparse(30, x_rows, 0.1, &rng);
+    std::vector<int64_t> row_ptr = a.row_ptr();
+    std::vector<int32_t> col_ind = a.col_ind();
+    std::vector<float> val = a.val();
+    row_ptr.push_back(row_ptr.back() + 1);
+    col_ind.push_back(x_rows - 1);
+    val.push_back(0.5f);
+    const CsrMatrix last(a.rows() + 1, x_rows, std::move(row_ptr), std::move(col_ind),
+                         std::move(val));
+    const DenseMatrix xm = GenerateDense(x_rows, dim, &rng);
+    const std::vector<float> x(xm.data().begin(), xm.data().end());
+    for (bool rounded : {false, true}) {
+      DenseMatrix expected(last.rows(), dim);
+      if (rounded) {
+        NaiveRoundedSpmmRows(last, xm, /*bf16=*/false, &expected);
+      } else {
+        NaiveSpmmRows(last, xm, &expected);
+      }
+      for (SimdLevel level : kAllLevels) {
+        const simd::SimdKernels& k = simd::KernelsFor(level);
+        std::vector<float> z(static_cast<size_t>(last.rows()) * dim, 0.0f);
+        if (rounded) {
+          k.spmm_rows_rounded(last.row_ptr().data(), last.col_ind().data(),
+                              last.val().data(), x.data(), z.data(), 0, last.rows(),
+                              dim, /*bf16=*/false);
+        } else {
+          k.spmm_rows(last.row_ptr().data(), last.col_ind().data(), last.val().data(),
+                      x.data(), z.data(), 0, last.rows(), dim);
+        }
+        ExpectBitwiseEqual(expected.data().data(), z.data(),
+                           static_cast<int64_t>(z.size()), SimdLevelName(k.level));
+
+        const std::vector<float> guard(dim, 7.5f);
+        z.assign(z.size(), 0.0f);
+        z.insert(z.end(), guard.begin(), guard.end());
+        if (rounded) {
+          k.spmm_rows_rounded(last.row_ptr().data(), last.col_ind().data(),
+                              last.val().data(), x.data(), z.data(), 0, last.rows(),
+                              dim, /*bf16=*/false);
+        } else {
+          k.spmm_rows(last.row_ptr().data(), last.col_ind().data(), last.val().data(),
+                      x.data(), z.data(), 0, last.rows(), dim);
+        }
+        ExpectBitwiseEqual(guard.data(), z.data() + z.size() - dim, dim, "guard row");
+      }
+    }
+  }
+}
+
 // The three GEMM definitions as naive triple loops. gemm_rows and
 // gemm_ta_rows: each output starts at +0 and takes one mul and one add per
 // nonzero A element, k ascending; a zero A element (either sign) is skipped
@@ -239,9 +431,7 @@ DenseMatrix Garbage(int32_t rows, int32_t cols) {
 TEST(SimdKernelTest, GemmVariantsMatchNaiveOracleAtEveryLevelAndTile) {
   // 300 rows of A: more than one k-block of the A^T * B kernel.
   const int32_t m = 300, k = 29;
-  std::vector<int32_t> widths = kDimSweep;
-  widths.push_back(22);  // two AVX2 vectors plus a tail: the GCN class count
-  for (int32_t n : widths) {
+  for (int32_t n : DimSweepWith22()) {
     Pcg32 rng(17 + n);
     // About half of A is zero, as after a ReLU, with -0 among the zeros.
     DenseMatrix a = GenerateDense(m, k, &rng);
@@ -426,27 +616,59 @@ TEST(SimdIntegrationTest, EngineSpmmBitIdenticalScalarVsDispatched) {
   ExpectBitwiseEqual(ReferenceSpmm(abar, x), z_simd, "vs ReferenceSpmm");
 }
 
+TEST(SimdIntegrationTest, Tf32SessionMultiplyBitIdenticalScalarVsDispatched) {
+  // The default dtype: Tensor-routed windows round through the rounded
+  // kernel. Forced scalar vs dispatched, at 1, 2 and 4 threads.
+  Pcg32 rng(4343);
+  Graph g = RMat(10, 8000, 32, &rng);
+  CsrMatrix abar = GcnNormalized(g.adjacency);
+  for (int32_t dim : {22, 48}) {
+    const DenseMatrix x = GenerateDense(abar.cols(), dim, &rng);
+    const SessionOptions tf32 = SessionOptions().set_dtype(DataType::kTf32);
+    DenseMatrix z_scalar, z_fp32;
+    {
+      ScopedSimdLevel forced(SimdLevel::kScalar);
+      auto session = Runtime::Default()->OpenSession(&abar, tf32);
+      ASSERT_TRUE(session->Multiply(x, &z_scalar, nullptr).ok());
+    }
+    auto fp32 = Runtime::Default()->OpenSession(
+        &abar, SessionOptions().set_dtype(DataType::kFp32));
+    ASSERT_TRUE(fp32->Multiply(x, &z_fp32, nullptr).ok());
+    ASSERT_GT(z_scalar.MaxAbsDifference(z_fp32), 0.0)
+        << "no window was Tensor-routed, so nothing was rounded";
+    for (int threads : {1, 2, 4}) {
+      auto session = Runtime::Default()->OpenSession(
+          &abar, SessionOptions(tf32).set_num_threads(threads));
+      DenseMatrix z;
+      ASSERT_TRUE(session->Multiply(x, &z, nullptr).ok());
+      ExpectBitwiseEqual(z_scalar, z, "tf32 session multiply");
+    }
+  }
+}
+
 TEST(SimdIntegrationTest, ShardedSpmmBitIdenticalScalarVsDispatched) {
   Pcg32 rng(777);
   Graph g = RMat(10, 6000, 16, &rng);
   CsrMatrix abar = GcnNormalized(g.adjacency);
-  DenseMatrix x(abar.cols(), 33, 0.25f);  // non-multiple dim: tails in play
+  DenseMatrix x = GenerateDense(abar.cols(), 33, &rng);  // tails in play
 
-  DenseMatrix z_scalar;
-  {
-    ScopedSimdLevel forced(SimdLevel::kScalar);
-    const SessionOptions fp32 = SessionOptions().set_dtype(DataType::kFp32);
-    auto unsharded = Runtime::Default()->OpenSession(&abar, fp32);
-    ASSERT_TRUE(unsharded->Multiply(x, &z_scalar, nullptr).ok());
-  }
-  for (int k : {1, 2, 4, 7}) {
-    ShardingOptions shards;
-    shards.num_shards = k;
-    auto sharded = Runtime::Default()->OpenSession(
-        &abar, SessionOptions().set_dtype(DataType::kFp32).set_sharding(shards));
-    DenseMatrix z;
-    ASSERT_TRUE(sharded->Multiply(x, &z, nullptr).ok());
-    ExpectBitwiseEqual(z_scalar, z, "sharded multiply");
+  for (DataType dtype : {DataType::kFp32, DataType::kTf32}) {
+    DenseMatrix z_scalar;
+    {
+      ScopedSimdLevel forced(SimdLevel::kScalar);
+      auto unsharded =
+          Runtime::Default()->OpenSession(&abar, SessionOptions().set_dtype(dtype));
+      ASSERT_TRUE(unsharded->Multiply(x, &z_scalar, nullptr).ok());
+    }
+    for (int k : {1, 2, 4, 7}) {
+      ShardingOptions shards;
+      shards.num_shards = k;
+      auto sharded = Runtime::Default()->OpenSession(
+          &abar, SessionOptions().set_dtype(dtype).set_sharding(shards));
+      DenseMatrix z;
+      ASSERT_TRUE(sharded->Multiply(x, &z, nullptr).ok());
+      ExpectBitwiseEqual(z_scalar, z, "sharded multiply");
+    }
   }
 }
 
